@@ -198,9 +198,11 @@ def cmd_explain(args):
         for bc in boundaries:
             out.append(f"    {bc.direction}({bc.kind}) {bc.action}")
         out.append("  edges:")
-        for ce in graph.annotated_edges(cfg, costs.loop_factor):
-            tag = " pseudo" if ce.pseudo else ""
-            out.append(f"    {ce.src} -> {ce.dst}{tag}  depth={ce.depth} weight={ce.weight}")
+        depths = graph.loop_depths(cfg)
+        weights = graph.edge_weights(cfg, costs.loop_factor)
+        for s, d, pseudo in cfg.edges:
+            tag = " pseudo" if pseudo else ""
+            out.append(f"    {s} -> {d}{tag}  depth={depths[(s, d)]} weight={weights[(s, d)]}")
         problem = _encode_unit(unit, profile, costs, options)
         if args.dump_problem:
             out.append("  outputs:")

@@ -1,14 +1,27 @@
-"""Constraint-edge resolution and transitive closure.
+"""Constraint-edge resolution and closure through no-op actions.
 
 Tags expand to Cartesian products of their action sets; pre/post become
-boundary constraints on a single action's CFG neighborhood. Closure
-composes edges through no-op actions (strength join pu > vo > xo) and
-drops every edge with a no-op endpoint.
+boundary constraints on a single action's CFG neighborhood.
+
+Closure. A chain is a walk of input edges that all carry the same binding
+block (or are all unscoped); its kind is the strongest of its steps
+(pu > vo > xo), and its midpoints are the actions strictly inside it. For
+non-noop actions s and t, `close` derives the edge (k, s, t, b) iff
+
+- some chain from s to t with binding b has kind k and a no-op midpoint,
+- no chain from s to t with binding b has kind k and no no-op midpoint
+  (a one-step chain is an input edge, so declared keys are never derived).
+
+The output is the input edges whose endpoints are both non-noop, in input
+order, followed by the derived edges sorted by (src, dst, strongest kind
+first, bind). It does not depend on the order of the input. An input with
+no no-op endpoint comes back unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from .ir import Diagnostic, RESERVED_TAGS
 
@@ -82,71 +95,48 @@ def resolve(func, cfg):
 
 
 def close(edges, actions):
-    """Transitive closure with no-op elimination.
+    """Compose edges through no-op actions; see the module docstring.
 
-    Composition requires equal binding blocks (or both unscoped) and joins
-    kinds to the stronger (pu > vo > xo). Retained: input edges between
-    non-noop actions, plus derived edges between non-noop actions whose
-    every known justification passes through at least one noop (noop-free
-    derivations make an edge redundant).
+    One breadth-first search per non-noop source and binding, over states
+    (action, strongest kind so far, no-op midpoint crossed). Out-edges are
+    visited sorted by (dst, kind), so each derived edge's `chain` is the
+    lexicographically first shortest no-op chain, whatever the input order.
     """
     is_noop = lambda a: actions[a].kind == "noop"
+    if not any(is_noop(e.src) or is_noop(e.dst) for e in edges):
+        return list(edges)
 
-    # key -> record {input, plain (noop-free derivation), noop, chain}
-    recs = {}
-
-    def add(key, *, inp=False, plain=False, noop=False, chain=()):
-        r = recs.get(key)
-        if r is None:
-            r = {"input": False, "plain": False, "noop": False, "chain": chain}
-            recs[key] = r
-        changed = False
-        for name, v in (("input", inp), ("plain", plain), ("noop", noop)):
-            if v and not r[name]:
-                r[name] = True
-                changed = True
-        if noop and not r["chain"]:
-            r["chain"] = chain
-        return changed
-
-    for e in edges:
-        base_chain = e.chain or ((e.kind, e.src, e.dst),)
-        add(e.key(), inp=True, chain=base_chain)
-        recs[e.key()]["chain"] = base_chain
-        recs[e.key()]["origin_edge"] = e
-
-    changed = True
-    while changed:
-        changed = False
-        keys = list(recs)
-        by_src = {}
-        for k in keys:
-            by_src.setdefault(k[1], []).append(k)
-        for k1 in keys:
-            kind1, s, m, b1 = k1
-            for k2 in by_src.get(m, []):
-                kind2, _, t, b2 = k2
-                if b1 != b2:
-                    continue
-                kind = kind1 if STRENGTH[kind1] >= STRENGTH[kind2] else kind2
-                r1, r2 = recs[k1], recs[k2]
-                via_noop = is_noop(m) or r1["noop"] or r2["noop"]
-                # Compose along justifications that themselves survive.
-                plain = not via_noop
-                chain = r1["chain"] + r2["chain"]
-                if add((kind, s, t, b1), plain=plain, noop=via_noop, chain=chain):
-                    changed = True
+    succ = {}
+    for e in sorted(edges, key=lambda e: (e.dst, e.kind)):
+        succ.setdefault((e.src, e.bind), []).append(e)
+    derived = []
+    for s, b in succ:
+        if is_noop(s):
+            continue
+        parent = {}  # state -> (previous state, input edge)
+        queue = deque([(s, None, False)])
+        while queue:
+            state = queue.popleft()
+            m, kind, crossed = state
+            crossed = crossed or (kind is not None and is_noop(m))  # m is now a midpoint
+            for e in succ.get((m, b), ()):
+                k = e.kind if kind is None or STRENGTH[e.kind] > STRENGTH[kind] else kind
+                nxt = (e.dst, k, crossed)
+                if nxt not in parent:
+                    parent[nxt] = (state, e)
+                    queue.append(nxt)
+        for state in parent:
+            t, k, crossed = state
+            # A one-edge chain without no-op midpoint is the declared edge itself.
+            if crossed and not is_noop(t) and (t, k, False) not in parent:
+                steps = []
+                while state in parent:
+                    state, e = parent[state]
+                    steps.append(e.chain or ((e.kind, e.src, e.dst),))
+                chain = tuple(step for part in reversed(steps) for step in part)
+                derived.append(ConstraintEdge(k, s, t, b, origin="derived", chain=chain))
 
     # Input edges first, in input order, so declaration order survives closure.
     out = [e for e in edges if not (is_noop(e.src) or is_noop(e.dst))]
-    derived = []
-    for key, r in recs.items():
-        kind, s, t, b = key
-        if r["input"] or is_noop(s) or is_noop(t):
-            continue
-        if r["noop"] and not r["plain"]:
-            derived.append(
-                ConstraintEdge(kind, s, t, b, origin="derived", chain=tuple(r["chain"]))
-            )
     derived.sort(key=lambda e: (e.src, e.dst, -STRENGTH[e.kind], e.bind or ""))
     return out + derived

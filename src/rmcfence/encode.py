@@ -6,6 +6,13 @@ insertable devices (barriers per CFG edge, dependency uses, per-action
 acquire/release modes). The formula is positive in all output variables,
 and the self-ordering requirement for dependency use makes the xcut
 definitions (benignly) cyclic; evaluation takes the greatest fixpoint.
+
+Evaluation walks the strongly connected components of the def graph
+(`graph.sccs`) in dependency order. A def that does not refer to itself,
+directly or through others, is evaluated once. A cyclic component starts
+at True and descends locally, re-evaluating its members until nothing
+changes; its inputs from earlier components are already final. The
+formula is monotone, so this is the whole system's greatest fixpoint.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ class EncodeOptions:
     synth_deps: bool = False
     self_condition: bool = True  # test hook; disabling it is unsound
     max_paths: int = graph.DEFAULT_MAX_PATHS
-    max_weight: int = graph.DEFAULT_MAX_WEIGHT
 
 
 @dataclass
@@ -56,13 +62,10 @@ class Problem:
     cost_terms: list  # (weight, frozenset of OutputVars)
     paths: dict  # "pN" -> block tuple
     weights: dict = field(default_factory=dict)  # (src, dst) -> w(e)
-    _eval_order: "list | None" = None
+    _components: "list | None" = None  # def SCCs, built on first evaluation
 
     def objective(self, true_vars):
         return sum(w for w, group in self.cost_terms if group & true_vars)
-
-    def max_cost(self):
-        return sum(w for w, _ in self.cost_terms)
 
 
 def _or(parts):
@@ -110,7 +113,7 @@ class Encoder:
         self.profile = profile
         self.costs = costs
         self.opt = options or EncodeOptions()
-        self.weights = graph.edge_weights(cfg, costs.loop_factor, self.opt.max_weight)
+        self.weights = graph.edge_weights(cfg, costs.loop_factor)
         self.defs = {}
         self.asserts = []
         self.vars = set()
@@ -395,40 +398,25 @@ def _def_refs(expr, acc):
             _def_refs(p, acc)
 
 
-def _eval_order(problem):
-    """Topological order of def names, or None if the def graph is cyclic."""
-    deps_of = {}
+def _components(problem):
+    """Def SCCs in dependency order, as steps (acyclic run, cyclic component),
+    each a list of (name, expr); either part may be empty."""
+    refs = {}
     for name, expr in problem.defs.items():
         acc = set()
         _def_refs(expr, acc)
-        deps_of[name] = acc
-    order, state = [], {}
-
-    def visit(n):
-        stack = [(n, iter(deps_of.get(n, ())))]
-        state[n] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for m in it:
-                if state.get(m) == 1:
-                    return False
-                if m not in state:
-                    state[m] = 1
-                    stack.append((m, iter(deps_of.get(m, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                order.append(node)
-                stack.pop()
-        return True
-
-    for name in problem.defs:
-        if name not in state:
-            if not visit(name):
-                return None
-    return order
+        refs[name] = sorted(acc)
+    steps, run = [], []
+    for comp in graph.sccs(problem.defs, [(n, m) for n, ms in refs.items() for m in ms]):
+        names = sorted(comp)
+        members = [(name, problem.defs[name]) for name in names]
+        if len(names) > 1 or names[0] in refs[names[0]]:
+            steps.append((run, members))
+            run = []
+        else:
+            run += members
+    steps.append((run, []))
+    return steps
 
 
 def _eval_expr(expr, env, true_vars):
@@ -439,30 +427,32 @@ def _eval_expr(expr, env, true_vars):
         return expr[1] in true_vars
     if tag == "def":
         return env[expr[1]]
-    if tag == "or":
-        return any(_eval_expr(p, env, true_vars) for p in expr[1])
-    return all(_eval_expr(p, env, true_vars) for p in expr[1])
+    # Plain loops, not any()/all() over generators: this is the solver's
+    # inner loop, and a generator per node costs time and GC allocations.
+    want = tag == "or"
+    for p in expr[1]:
+        if _eval_expr(p, env, true_vars) == want:
+            return want
+    return not want
 
 
 def def_values(problem, true_vars):
-    """Values of all defined variables under an output assignment."""
-    if problem._eval_order is None:
-        problem._eval_order = (_eval_order(problem), )
-    order = problem._eval_order[0]
-    if order is not None:
-        env = {}
-        for name in order:
-            env[name] = _eval_expr(problem.defs[name], env, true_vars)
-        return env
-    env = {name: True for name in problem.defs}
-    changed = True
-    while changed:
-        changed = False
-        for name, expr in problem.defs.items():
-            v = _eval_expr(expr, env, true_vars)
-            if v != env[name]:
-                env[name] = v
-                changed = True
+    """Values of all defined variables under an output assignment: the
+    greatest fixpoint, one SCC at a time (see the module docstring)."""
+    if problem._components is None:
+        problem._components = _components(problem)
+    env = {}
+    for run, cycle in problem._components:
+        for name, expr in run:
+            env[name] = _eval_expr(expr, env, true_vars)
+        env.update((name, True) for name, _ in cycle)
+        changed = bool(cycle)
+        while changed:
+            changed = False
+            for name, expr in cycle:
+                if env[name] and not _eval_expr(expr, env, true_vars):
+                    env[name] = False
+                    changed = True
     return env
 
 

@@ -8,27 +8,15 @@ for irreducible regions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ir import compute_dominators
 
 DEFAULT_MAX_PATHS = 4096
-DEFAULT_MAX_WEIGHT = 2**20
 
 
 class PathExplosion(Exception):
     def __init__(self, src, dst, cap):
         self.src, self.dst, self.cap = src, dst, cap
         super().__init__(f"more than {cap} simple paths from {src!r} to {dst!r}")
-
-
-@dataclass(frozen=True)
-class CfgEdge:
-    src: str
-    dst: str
-    pseudo: bool
-    depth: int
-    weight: int
 
 
 def _back_edges(cfg):
@@ -71,7 +59,7 @@ def _scc_back_edges(cfg):
     removed = set()
 
     def strip(nodes, edges):
-        for comp in _sccs(nodes, edges):
+        for comp in sccs(nodes, edges):
             comp_edges = {(u, v) for u, v in edges if u in comp and v in comp}
             if len(comp) == 1 and not comp_edges:
                 continue
@@ -85,8 +73,12 @@ def _scc_back_edges(cfg):
     return removed
 
 
-def _sccs(nodes, edges):
-    """Tarjan over an explicit edge set."""
+def sccs(nodes, edges):
+    """Tarjan over an explicit edge set.
+
+    Components come out dependencies first: every component is emitted
+    after all components reachable from it.
+    """
     succ = {n: [] for n in nodes}
     for u, v in edges:
         succ[u].append(v)
@@ -162,8 +154,8 @@ def loop_depths(cfg):
     return depths
 
 
-def edge_weights(cfg, loop_factor=4, max_weight=DEFAULT_MAX_WEIGHT):
-    """w(e) = pathcount(e) * loop_factor^depth(e), clamped to [1, max_weight].
+def edge_weights(cfg, loop_factor=4):
+    """w(e) = max(1, pathcount(e)) * loop_factor^depth(e), exact.
 
     pathcount counts entry->exit simple paths through e in the DAG left
     after deleting back and pseudo edges; a pseudo edge counts the full
@@ -178,17 +170,16 @@ def edge_weights(cfg, loop_factor=4, max_weight=DEFAULT_MAX_WEIGHT):
             succ[s].append(d)
 
     order = _topo(cfg.blocks, succ)
-    cap = max_weight
     from_entry = {b: 0 for b in cfg.blocks}
     from_entry[cfg.entry] = 1
     for b in order:
         for v in succ[b]:
-            from_entry[v] = min(cap, from_entry[v] + from_entry[b])
+            from_entry[v] += from_entry[b]
     exits = {b for b in cfg.blocks if _is_ret(cfg, b)}
     to_exit = {b: (1 if b in exits else 0) for b in cfg.blocks}
     for b in reversed(order):
         for v in succ[b]:
-            to_exit[b] = min(cap, to_exit[b] + to_exit[v])
+            to_exit[b] += to_exit[v]
 
     depths = loop_depths(cfg)
     weights = {}
@@ -199,9 +190,7 @@ def edge_weights(cfg, loop_factor=4, max_weight=DEFAULT_MAX_WEIGHT):
             count = from_entry[s]  # executions reaching the latch
         else:
             count = from_entry[s] * to_exit[d]
-        count = max(1, min(cap, count))
-        w = count * (loop_factor ** depths[(s, d)])
-        weights[(s, d)] = max(1, min(cap, w))
+        weights[(s, d)] = max(1, count) * loop_factor ** depths[(s, d)]
     return weights
 
 
@@ -226,15 +215,6 @@ def _topo(nodes, succ):
             if indeg[v] == 0:
                 work.append(v)
     return out
-
-
-def annotated_edges(cfg, loop_factor=4, max_weight=DEFAULT_MAX_WEIGHT):
-    depths = loop_depths(cfg)
-    weights = edge_weights(cfg, loop_factor, max_weight)
-    return [
-        CfgEdge(s, d, pseudo, depths[(s, d)], weights[(s, d)])
-        for s, d, pseudo in cfg.edges
-    ]
 
 
 def simple_paths(cfg, src, dst, excluded=None, cap=DEFAULT_MAX_PATHS):

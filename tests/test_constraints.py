@@ -132,6 +132,85 @@ def test_close_noop_chain_of_two():
     assert [(e.kind, e.src, e.dst) for e in out] == [("vo", "a", "b")]
 
 
+def test_close_does_not_depend_on_declaration_order():
+    # d->b->b is a pu chain with no no-op midpoint, so the pu d->b that
+    # d->b->n->b derives is redundant whichever edge is declared first.
+    acts = _acts({"b": "write", "n": "noop", "d": "read"})
+    edges = [
+        ConstraintEdge("vo", "b", "n"),
+        ConstraintEdge("xo", "d", "b"),
+        ConstraintEdge("pu", "b", "b"),
+        ConstraintEdge("pu", "n", "b"),
+    ]
+    swapped = [edges[1], edges[0]] + edges[2:]
+    expected = [edges[1], edges[2]]
+    assert constraints.close(edges, acts) == expected
+    assert constraints.close(swapped, acts) == expected
+
+
+def test_close_drops_derived_edge_with_plain_chain_beside_noop_detours():
+    # s->x->m->t is a plain vo chain; the no-op detours s->n1->x and
+    # m->n2->t must not turn it into a derived vo s->t.
+    acts = _acts(
+        {"s": "write", "x": "write", "m": "write", "t": "write", "n1": "noop", "n2": "noop"}
+    )
+    edges = [
+        ConstraintEdge("vo", "s", "x"),
+        ConstraintEdge("vo", "x", "m"),
+        ConstraintEdge("vo", "m", "t"),
+        ConstraintEdge("vo", "s", "n1"),
+        ConstraintEdge("vo", "n1", "x"),
+        ConstraintEdge("vo", "m", "n2"),
+        ConstraintEdge("vo", "n2", "t"),
+    ]
+    assert constraints.close(edges, acts) == edges[:3]
+
+
+STRENGTH_RANK = {"xo": 0, "vo": 1, "pu": 2}
+
+
+def brute_close(edges, acts):
+    """Reference closure that enumerates chains one by one.
+
+    Cutting the cycles out of a chain while keeping its strongest step and
+    one no-op midpoint leaves that step and at most three simple paths, so
+    chains of up to 3 * (len(acts) - 1) + 1 steps reach every (kind, no-op
+    midpoint) outcome and the shortest chain of each.
+    """
+    noop = lambda a: acts[a].kind == "noop"
+    limit = 3 * (len(acts) - 1) + 1
+    plain, best = set(), {}
+
+    def visit(chain):
+        head, last = chain[0], chain[-1]
+        kind = max((e.kind for e in chain), key=STRENGTH_RANK.get)
+        key = (kind, head.src, last.dst, head.bind)
+        if any(noop(e.dst) for e in chain[:-1]):
+            rank = (len(chain), [(e.dst, e.kind) for e in chain])
+            if key not in best or rank < best[key][0]:
+                best[key] = (rank, chain)
+        else:
+            plain.add(key)
+        if len(chain) < limit:
+            for e in edges:
+                if e.src == last.dst and e.bind == head.bind:
+                    visit(chain + [e])
+
+    for e in edges:
+        if not noop(e.src):
+            visit([e])
+    derived = [
+        ConstraintEdge(
+            k, s, t, b, origin="derived",
+            chain=tuple((e.kind, e.src, e.dst) for e in chain),
+        )
+        for (k, s, t, b), (_, chain) in best.items()
+        if not noop(t) and (k, s, t, b) not in plain
+    ]
+    derived.sort(key=lambda e: (e.src, e.dst, -STRENGTH_RANK[e.kind], e.bind or ""))
+    return [e for e in edges if not (noop(e.src) or noop(e.dst))] + derived
+
+
 if HAVE_HYPOTHESIS:
 
     ids = ["a", "b", "c", "n1", "n2"]
@@ -183,3 +262,40 @@ if HAVE_HYPOTHESIS:
         for e in constraints.close(edges, acts):
             assert acts[e.src].kind != "noop"
             assert acts[e.dst].kind != "noop"
+
+    def edge_lists(names, max_size):
+        def unique(raw):
+            seen, edges = set(), []
+            for k, s, d, bind in raw:
+                e = ConstraintEdge(k, s, d, bind)
+                if e.key() not in seen:
+                    seen.add(e.key())
+                    edges.append(e)
+            return edges
+
+        return st.lists(
+            st.tuples(
+                st.sampled_from(["vo", "xo", "pu"]),
+                st.sampled_from(names),
+                st.sampled_from(names),
+                st.sampled_from([None, "blk"]),
+            ),
+            max_size=max_size,
+        ).map(unique)
+
+    @given(edge_lists(ids, 8), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_close_ignores_input_order(edges, rnd):
+        acts = _acts(kinds)
+        shuffled = list(edges)
+        rnd.shuffle(shuffled)
+        assert set(constraints.close(shuffled, acts)) == set(constraints.close(edges, acts))
+
+    # Four actions keep brute_close's chain enumeration small.
+    small_ids = ["a", "b", "n1", "n2"]
+
+    @given(edge_lists(small_ids, 7))
+    @settings(max_examples=500, deadline=None)
+    def test_close_matches_brute_force_chains(edges):
+        acts = _acts({k: kinds[k] for k in small_ids})
+        assert constraints.close(edges, acts) == brute_close(edges, acts)

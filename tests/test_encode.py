@@ -127,3 +127,60 @@ def test_overlap_armv7_outputs_are_the_interior_edges():
     outs = a.problem.outputs
     assert len(outs) == 3
     assert all(v.kind == "barrier" and v.detail[0] == "dmb" for v in outs)
+
+
+def _naive_gfp(defs, true_vars):
+    """Reference: start every def at True and re-evaluate the whole system
+    until nothing changes."""
+
+    def ev(expr, env):
+        tag, arg = expr
+        if tag == "const":
+            return arg
+        if tag == "out":
+            return arg in true_vars
+        if tag == "def":
+            return env[arg]
+        parts = [ev(p, env) for p in arg]
+        return any(parts) if tag == "or" else all(parts)
+
+    env = {name: True for name in defs}
+    while True:
+        nxt = {name: ev(expr, env) for name, expr in defs.items()}
+        if nxt == env:
+            return env
+        env = nxt
+
+
+def test_def_values_equal_naive_greatest_fixpoint():
+    rng = random.Random(11)
+    outs = [encode.OutputVar("barrier", ("k", f"b{i}", f"b{i + 1}")) for i in range(3)]
+    shapes = set()
+    for _ in range(300):
+        names = [f"d{i}" for i in range(rng.randint(1, 8))]
+
+        def expr(depth):
+            r = rng.random()
+            if depth == 0 or r < 0.3:
+                if rng.random() < 0.15:
+                    return ("const", rng.random() < 0.5)
+                if rng.random() < 0.5:
+                    return ("out", rng.choice(outs))
+                return ("def", rng.choice(names))
+            tag = "or" if r < 0.65 else "and"
+            return (tag, tuple(expr(depth - 1) for _ in range(rng.randint(1, 3))))
+
+        defs = {name: expr(2) for name in names}
+        problem = encode.Problem(
+            function="t", arch="none", outputs=outs, defs=defs,
+            asserts=[], cost_terms=[], paths={},
+        )
+        for run, cycle in encode._components(problem):
+            if run:
+                shapes.add("acyclic")
+            if cycle:
+                shapes.add("cycle" if len(cycle) > 1 else "self")
+        for mask in range(2 ** len(outs)):
+            true_vars = frozenset(v for i, v in enumerate(outs) if mask >> i & 1)
+            assert encode.def_values(problem, true_vars) == _naive_gfp(defs, true_vars)
+    assert shapes == {"acyclic", "self", "cycle"}

@@ -145,12 +145,29 @@ def test_irreducible_fallback():
     assert any(d > 0 for d in depths.values())
 
 
-def test_weights_clamped_and_positive():
+def test_weights_positive_and_exact():
     for name in ("ringbuf", "selfdep", "widget"):
         for f in parse_valid(load_corpus(name)):
-            cfg = ir.normalize(f)
-            for wt in graph.edge_weights(cfg).values():
-                assert 1 <= wt <= graph.DEFAULT_MAX_WEIGHT
+            assert min(graph.edge_weights(ir.normalize(f)).values()) >= 1
+    # 22 diamonds in a row: 2^22 entry->exit paths, more than any clamp
+    # near 2^20 would allow, so the pseudo edge must outweigh the arm edges.
+    k = 22
+    text = "func f { block d0: %c0 = op o() br %c0 ? t0 : e0 "
+    for i in range(k):
+        nxt = f"d{i + 1}"
+        text += f"block t{i}: jmp {nxt} block e{i}: jmp {nxt} "
+        if i + 1 < k:
+            text += f"block {nxt}: %c{i + 1} = op o() br %c{i + 1} ? t{i + 1} : e{i + 1} "
+    text += f"block d{k}: ret }}"
+    (f,) = parse_valid(text)
+    cfg = ir.normalize(f)
+    w = graph.edge_weights(cfg, loop_factor=4)
+    assert len(w) == 4 * k + 1
+    for (s, d), wt in w.items():
+        if (s, d) == (f"d{k}", "d0"):  # the exit->entry pseudo edge
+            assert wt == 2**k
+        else:  # every real edge lies on one arm of one diamond
+            assert wt == 2 ** (k - 1), (s, d)
 
 
 def test_loop_factor_below_one_rejected():
