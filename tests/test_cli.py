@@ -79,11 +79,18 @@ def test_path_explosion_exit_code(capsys):
     assert "max-paths" in err
 
 
-def test_budget_exit_code(capsys):
+def test_budget_exit_code(tmp_path, capsys):
+    dest = tmp_path / "plan.json"
     code, _, err = run(
-        capsys, "compile", str(corpus_path("ringbuf")), "--arch", "armv8", "--budget-ms", "0"
+        capsys, "compile", str(corpus_path("ringbuf")), "--arch", "armv8", "--budget-ms", "0",
+        "--out", str(dest),
     )
     assert code == 3
+    # out of time before any incumbent, the plan places every device
+    plans = json.loads(dest.read_text())
+    assert plans and all(p["status"] == "incumbent" for p in plans)
+    code, out, _ = run(capsys, "check", str(corpus_path("ringbuf")), str(dest), "--arch", "armv8")
+    assert code == 0 and out.strip() == "OK"
 
 
 def test_cost_file_and_env(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,18 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
 from rmcfence import encode, solver, verify
-from conftest import analyze_corpus, random_problem, CORPUS_NAMES
+from conftest import analyze, analyze_corpus, parse_valid, random_problem, CORPUS_NAMES
 
 
 def test_matches_exhaustive_on_corpus():
@@ -29,7 +38,7 @@ def test_matches_exhaustive_on_random_problems():
 
 def test_result_is_lexicographically_least_among_optima():
     rng = random.Random(99)
-    for _ in range(30):
+    for _ in range(100):
         p = random_problem(rng, max_vars=10)
         got = solver.solve_min(p)
         best_cost = got.cost
@@ -64,8 +73,57 @@ def test_unsatisfiable_is_reported():
 def test_budget_exhaustion():
     rng = random.Random(5)
     p = random_problem(rng, max_vars=14)
-    with pytest.raises(solver.BudgetExceeded):
+    with pytest.raises(solver.BudgetExceeded) as exc:
         solver.solve_min(p, budget_ms=0)
+    # out of time before any incumbent: all devices placed, proved satisfiable
+    inc = exc.value.incumbent
+    assert inc.true_vars == frozenset(p.outputs)
+    assert inc.cost == p.objective(inc.true_vars)
+    assert encode.satisfies(p, inc.true_vars)
+
+
+def test_deep_search_does_not_recurse():
+    # Each output is one level of the search; a recursive search raises
+    # RecursionError about 1,000 outputs deep.
+    outputs = [encode.OutputVar("barrier", ("k", f"b{i:04}", "c")) for i in range(1200)]
+    p = encode.Problem(
+        function="deep", arch="none", outputs=outputs, defs={},
+        asserts=[("all", ("and", tuple(("out", v) for v in outputs)))],
+        cost_terms=[(1, frozenset([v])) for v in outputs], paths={},
+    )
+    got = solver.solve_min(p)
+    assert got.true_vars == frozenset(outputs)
+    assert got.cost == 1200
+
+
+def test_problem_is_freed_without_cyclic_gc():
+    p = random_problem(random.Random(3))
+    ref = weakref.ref(p)
+    gc.disable()
+    try:
+        solver.solve_min(p)
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _chain(n):
+    """n writes in a straight line with `vo w_i -> w_{i+2}`."""
+    decls = "".join(f"  edge vo l{i:03} -> l{i + 2:03};\n" for i in range(n - 2))
+    body = "".join(f"    write @g{i:03} {i} label l{i:03}\n" for i in range(n))
+    (func,) = parse_valid(f"func chain{n} {{\n{decls}  block b:\n{body}    ret\n}}\n")
+    return func
+
+
+def test_lower_bound_cuts_the_search():
+    # Without the bound the search took 13,457 nodes on chain(24) armv7.
+    p = analyze(_chain(24), "armv7").problem
+    got = solver.solve_min(p)
+    assert got.decisions <= 1346
+    assert got.cost == 715
+    small = analyze(_chain(16), "armv7").problem
+    assert solver.solve_min(small).cost == verify.brute_min(small).cost
 
 
 def test_never_worse_than_greedy_or_all_barriers():
@@ -76,3 +134,29 @@ def test_never_worse_than_greedy_or_all_barriers():
                 assert got.cost <= a.problem.objective(frozenset(a.problem.outputs))
                 gp = verify.greedy(a.cfg, a.closed, a.boundaries, a.profile, a.costs)
                 assert got.cost <= gp.cost, (name, a.func.name, arch_name)
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(st.integers(0, 2**32), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_lower_bound_never_exceeds_cheapest_completion(seed, data):
+        p = random_problem(random.Random(seed), max_vars=10)
+        n = len(p.outputs)
+        i = data.draw(st.integers(0, n))
+        mask = data.draw(st.integers(0, (1 << i) - 1))
+        trues = frozenset(v for j, v in enumerate(p.outputs[:i]) if mask >> j & 1)
+        lb = solver.lower_bound(
+            solver.bound_data(p), i, trues, encode.failed_assertions(p, trues)
+        )
+        rest = p.outputs[i:]
+        cheapest = None
+        for m in range(1 << len(rest)):
+            full = trues | {v for j, v in enumerate(rest) if m >> j & 1}
+            if encode.satisfies(p, full):
+                c = p.objective(full)
+                cheapest = c if cheapest is None else min(cheapest, c)
+        if cheapest is None:
+            return
+        assert lb is not None
+        assert p.objective(trues) + lb <= cheapest
