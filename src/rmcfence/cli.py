@@ -35,7 +35,13 @@ def _add_common(p):
     p.add_argument(
         "--synth-deps", action="store_true", help="allow synthesizing new control dependencies"
     )
-    p.add_argument("--max-paths", type=int, default=graph.DEFAULT_MAX_PATHS)
+    p.add_argument(
+        "--max-paths",
+        type=int,
+        default=graph.DEFAULT_MAX_PATHS,
+        help="simple-path limit per xo constraint (exit 2 beyond it); pu and vo"
+        " are cut by reachability and have no limit",
+    )
     p.add_argument("--loop-factor", type=int, default=None, help="per-loop-level weight multiplier")
 
 
@@ -109,6 +115,20 @@ def _encode_unit(unit, profile, costs, options):
     return encode.build(cfg, closed, boundaries, deps, profile, costs, options)
 
 
+def _solve(problem, budget_ms):
+    """The cheapest plan, or when the budget runs out the incumbent,
+    marked as not proven optimal."""
+    try:
+        return solver.solve_min(problem, budget_ms)
+    except solver.BudgetExceeded as exc:
+        return replace(exc.incumbent, optimal=False)
+
+
+def _budget_warning(name):
+    print(f"warning: budget exhausted on {name}; plan may be suboptimal", file=sys.stderr)
+    return EXIT_BUDGET
+
+
 def cmd_compile(args):
     units, profile, costs, options = _load_inputs(args)
     plans, cfgs = [], {}
@@ -116,11 +136,9 @@ def cmd_compile(args):
     for unit in units:
         problem = _encode_unit(unit, profile, costs, options)
         cfgs[unit[0].name] = unit[1]
-        try:
-            asg = solver.solve_min(problem, args.budget_ms)
-        except solver.BudgetExceeded as exc:
+        asg = _solve(problem, args.budget_ms)
+        if not asg.optimal:
             budget_note = unit[0].name
-            asg = replace(exc.incumbent, optimal=False)
         plans.append(emit.to_plan(problem, unit[1], asg))
 
     if args.format == "json":
@@ -136,9 +154,7 @@ def cmd_compile(args):
     else:
         sys.stdout.write(text)
     if budget_note is not None:
-        print(f"warning: budget exhausted on {budget_note}; plan may be suboptimal",
-              file=sys.stderr)
-        return EXIT_BUDGET
+        return _budget_warning(budget_note)
     return EXIT_OK
 
 
@@ -184,6 +200,7 @@ def _expr_str(expr):
 def cmd_explain(args):
     units, profile, costs, options = _load_inputs(args)
     out = []
+    budget_note = None
     for unit in units:
         f, cfg, closed, boundaries = unit
         out.append(f"function {f.name} ({profile.name})")
@@ -211,8 +228,11 @@ def cmd_explain(args):
             out.append("  assertions:")
             for label, expr in problem.asserts:
                 out.append(f"    {label}: {_expr_str(expr)}")
-        asg = solver.solve_min(problem, getattr(args, "budget_ms", None))
-        out.append(f"  plan (cost {asg.cost}, {asg.decisions} search nodes):")
+        asg = _solve(problem, args.budget_ms)
+        if not asg.optimal:
+            budget_note = f.name
+        mark = "" if asg.optimal else ", not proven optimal"
+        out.append(f"  plan (cost {asg.cost}, {asg.decisions} search nodes{mark}):")
         for w, group in problem.cost_terms:
             hit = sorted(group & asg.true_vars)
             if hit:
@@ -220,6 +240,8 @@ def cmd_explain(args):
         if not asg.true_vars:
             out.append("    (nothing to insert)")
     print("\n".join(out))
+    if budget_note is not None:
+        return _budget_warning(budget_note)
     return EXIT_OK
 
 

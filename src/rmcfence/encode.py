@@ -1,11 +1,21 @@
 """Boolean formula and cost objective for barrier/dependency placement.
 
 Every constraint edge becomes a root assertion over defined variables
-(vcut/pcut/xcut/ctrl and their per-path forms); output variables are the
-insertable devices (barriers per CFG edge, dependency uses, per-action
-acquire/release modes). The formula is positive in all output variables,
-and the self-ordering requirement for dependency use makes the xcut
-definitions (benignly) cyclic; evaluation takes the greatest fixpoint.
+(vcut/pcut/xcut/ctrl); output variables are the insertable devices
+(barriers per CFG edge, dependency uses, per-action acquire/release
+modes). The formula is positive in all output variables, and its
+definitions may be cyclic; evaluation takes the greatest fixpoint.
+
+A pu or vo edge s->t holds when every s->t walk that avoids the binding
+block crosses a barrier strong enough for it (or, for vo, t releases).
+That is reachability, not a path list: `name@v` says every walk from s
+to block v crosses one, defined as the AND over v's in-edges (u, v) of
+(barrier on (u, v) OR name@u), with s itself False. Only blocks on some
+s->t walk get a definition, and edges out of t are left out, so every
+barrier variable sits on an edge of some s->t walk. An xo edge is cut
+path by path (`xcut_path`), because a data dependency serves a path,
+not a walk; its self-ordering requirement makes those definitions
+cyclic too.
 
 Evaluation walks the strongly connected components of the def graph
 (`graph.sccs`) in dependency order. A def that does not refer to itself,
@@ -29,6 +39,14 @@ FALSE = ("const", False)
 class OutputVar:
     kind: str  # barrier | use_ctrl | use_data | acquire | release
     detail: tuple
+
+    # Every ("out", v) leaf the solver evaluates is a set lookup: hash
+    # once, with the value the generated __hash__ would give.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.detail)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         if self.kind == "barrier":
@@ -121,6 +139,11 @@ class Encoder:
         self._path_ids = {}
         self._building = set()
         self._paths_memo = {}
+        self._succ = {b: set() for b in cfg.blocks}
+        self._pred = {b: set() for b in cfg.blocks}
+        for u, v, _ in cfg.edges:
+            self._succ[u].add(v)
+            self._pred[v].add(u)
 
     # -- small helpers ------------------------------------------------------
 
@@ -175,8 +198,6 @@ class Encoder:
     # -- per-kind encodings -------------------------------------------------
 
     def _vcut_path(self, path, t_action):
-        if self.profile.vis_exec_free:
-            return TRUE
         name = f"vcut_path({self._pid(path)},{t_action.id})"
         if name not in self.defs:
             edges_ = list(zip(path, path[1:]))
@@ -189,31 +210,76 @@ class Encoder:
             self._define(name, body)
         return ("def", name)
 
+    def _live_blocks(self, bind, sblk, tblk):
+        """Blocks on some sblk->tblk walk that avoids `bind`: reachable
+        from sblk without leaving tblk, and reaching tblk without passing
+        through sblk (each endpoint is expanded only as the start)."""
+
+        def grow(start, stop, nbr):
+            seen, todo = {start}, [start]
+            while todo:
+                x = todo.pop()
+                if x == stop and x != start:
+                    continue
+                for y in nbr[x]:
+                    if y != bind and y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            return seen
+
+        return grow(sblk, tblk, self._succ) & grow(tblk, sblk, self._pred)
+
+    def _walk_cut(self, name, cap, bind, s, t):
+        """Every s->t walk avoiding `bind` crosses a `cap` barrier.
+
+        U(v), defined as `name@v` on the live blocks, says that every
+        walk from the source to v crosses one: the AND over in-edges
+        (u, v) of (barrier on (u, v) OR U(u)), with U(source) = False and
+        no edge out of the target. Returns the in-edge conjunction at the
+        target. The formula's greatest fixpoint makes it exact on cycles.
+        """
+        sblk = self.cfg.action_block[s]
+        tblk = self.cfg.action_block[t]
+        if bind in (sblk, tblk):
+            return TRUE
+        live = self._live_blocks(bind, sblk, tblk)
+        kinds = self.profile.kinds_cutting(cap)
+
+        def in_cut(v):
+            conj = []
+            for u in sorted(self._pred[v]):
+                if u == sblk:
+                    before = FALSE
+                elif u == tblk or u not in live:
+                    continue
+                else:
+                    before = ("def", f"{name}@{u}")
+                conj.append(_or([self._barriers_on([(u, v)], kinds), before]))
+            return _and(conj)
+
+        for v in sorted(live - {sblk, tblk}):
+            self._define(f"{name}@{v}", in_cut(v))
+        return in_cut(tblk)
+
     def _pcut(self, edge):
         name = f"pcut({self._bstr(edge.bind)},{edge.src},{edge.dst})"
         if name not in self.defs:
-            conj = []
-            for path in self._paths_between(edge.bind, edge.src, edge.dst):
-                pname = f"pcut_path({self._pid(path)})"
-                if pname not in self.defs:
-                    edges_ = list(zip(path, path[1:]))
-                    self._define(
-                        pname,
-                        self._barriers_on(edges_, self.profile.kinds_cutting("cuts_push")),
-                    )
-                conj.append(("def", pname))
-            self._define(name, _and(conj))
+            self._define(name, self._walk_cut(name, "cuts_push", edge.bind, edge.src, edge.dst))
         return ("def", name)
 
     def _vcut(self, edge):
         name = f"vcut({self._bstr(edge.bind)},{edge.src},{edge.dst})"
         if name not in self.defs:
-            t_action = self.cfg.actions[edge.dst]
-            conj = [
-                self._vcut_path(p, t_action)
-                for p in self._paths_between(edge.bind, edge.src, edge.dst)
-            ]
-            self._define(name, _and(conj))
+            if self.profile.vis_exec_free:
+                body = TRUE
+            else:
+                body = _or(
+                    [
+                        self._walk_cut(name, "cuts_vis", edge.bind, edge.src, edge.dst),
+                        self._release_term(self.cfg.actions[edge.dst]),
+                    ]
+                )
+            self._define(name, body)
         return ("def", name)
 
     def _ctrl_path(self, s_action, path):

@@ -1,14 +1,18 @@
 """Independent validation of placement plans, plus reference baselines.
 
-check_plan re-derives everything from scratch — its own path walk, its
-own dependence walk, direct evaluation of the cut rules — so it shares
-no conclusions with the encoder beyond the input structures. brute_min
-is the exhaustive optimization oracle for small problems; greedy is the
+check_plan re-derives everything from scratch — its own graph searches,
+its own dependence walk, direct evaluation of the cut rules — so it
+shares no conclusions with the encoder beyond the input structures. A
+pu or vo edge is checked by a breadth-first search for a path with no
+strong-enough barrier, reported as the witness; an xo edge is checked
+path by path, because dependencies serve single paths. brute_min is the
+exhaustive optimization oracle for small problems; greedy is the
 deliberately simple baseline the optimizer is measured against.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import graph
@@ -111,18 +115,20 @@ class PlanChecker:
     def _has(self, e, pred):
         return any(pred(self.profile.kind(k)) for k in self._edge_kinds(e))
 
-    def vo_path_cut(self, path, t_action):
+    def vo_released(self, t_action):
         if self.profile.vis_exec_free:
             return True
-        for e in zip(path, path[1:]):
-            if self._has(e, lambda k: k.cuts_vis):
-                return True
         return t_action.is_write and ("release", t_action.id) in self.modes
 
-    def pu_path_cut(self, path):
-        return any(
-            self._has(e, lambda k: k.cuts_push) for e in zip(path, path[1:])
-        )
+    def vo_path_cut(self, path, t_action):
+        if self.vo_released(t_action):
+            return True
+        return any(self._has(e, lambda k: k.cuts_vis) for e in zip(path, path[1:]))
+
+    def uncut_path(self, a, b, excluded, cap):
+        """A path a->b avoiding `excluded` with no barrier of capability
+        `cap` on it, or None."""
+        return _uncut_path(self._succ, a, b, excluded, lambda e: self._has(e, cap))
 
     def xo_path_cut(self, bind, s_action, t_action, path, assume_self=False):
         if self.profile.vis_exec_free:
@@ -195,6 +201,33 @@ class PlanChecker:
         return ok
 
 
+def _uncut_path(succ, a, b, excluded, cut):
+    """Breadth-first search for a shortest a->b path avoiding `excluded`
+    on which no edge satisfies `cut`, or None. The path is simple; when
+    a == b it is a cycle through a. Every a->b path is cut exactly when
+    this finds none, since an uncut walk shortens to an uncut simple path.
+    """
+    if excluded in (a, b):
+        return None
+    parent = {a: None}
+    todo = deque([a])
+    while todo:
+        x = todo.popleft()
+        for y in succ[x]:
+            if y == excluded or cut((x, y)):
+                continue
+            if y == b:
+                path = [y]
+                while x is not None:
+                    path.append(x)
+                    x = parent[x]
+                return tuple(reversed(path))
+            if y not in parent:
+                parent[y] = x
+                todo.append(y)
+    return None
+
+
 def _fmt_path(path):
     return "[" + ",".join(path) + "]"
 
@@ -208,15 +241,20 @@ def check_plan(cfg, edges, boundaries, profile, plan, path_cap=graph.DEFAULT_MAX
         t_action = cfg.actions[edge.dst]
         sblk = cfg.action_block[edge.src]
         tblk = cfg.action_block[edge.dst]
-        for path in ck.paths(sblk, tblk, excluded=edge.bind):
-            if edge.kind == "pu":
-                ok = ck.pu_path_cut(path)
-            elif edge.kind == "vo":
-                ok = ck.vo_path_cut(path, t_action)
-            else:
-                ok = ck.xo_path_cut(edge.bind, s_action, t_action, path)
-            if not ok:
-                out.append(f"UNCUT {edge.kind} {edge.src}->{edge.dst} via {_fmt_path(path)}")
+        if edge.kind == "xo":
+            uncut = [
+                path
+                for path in ck.paths(sblk, tblk, excluded=edge.bind)
+                if not ck.xo_path_cut(edge.bind, s_action, t_action, path)
+            ]
+        elif edge.kind == "pu":
+            uncut = [ck.uncut_path(sblk, tblk, edge.bind, lambda k: k.cuts_push)]
+        elif not ck.vo_released(t_action):
+            uncut = [ck.uncut_path(sblk, tblk, edge.bind, lambda k: k.cuts_vis)]
+        else:
+            uncut = []
+        for path in filter(None, uncut):
+            out.append(f"UNCUT {edge.kind} {edge.src}->{edge.dst} via {_fmt_path(path)}")
     for bc in boundaries:
         action = cfg.actions[bc.action]
         blk = cfg.action_block[bc.action]
@@ -275,6 +313,7 @@ def greedy(cfg, edges, boundaries, profile, costs):
     (in-/out-edges of the action block for boundaries). Never uses
     dependencies or modes."""
     weights = graph.edge_weights(cfg, costs.loop_factor)
+    succ = cfg.succ_all()
     placed = {}  # (src, dst) -> set of kinds
 
     def capability(kind, s_action):
@@ -290,11 +329,8 @@ def greedy(cfg, edges, boundaries, profile, costs):
             return None
         return min(kinds, key=lambda k: (costs.kind(k.id), k.id)).id
 
-    def cut(path, cap_name):
-        return any(
-            any(getattr(profile.kind(k), cap_name) for k in placed.get(e, ()))
-            for e in zip(path, path[1:])
-        )
+    def cut(e, cap_name):
+        return any(getattr(profile.kind(k), cap_name) for k in placed.get(e, ()))
 
     def place(e, kind_id):
         placed.setdefault(e, set()).add(kind_id)
@@ -306,8 +342,7 @@ def greedy(cfg, edges, boundaries, profile, costs):
         cap_name = capability(edge.kind, s_action)
         sblk = cfg.action_block[edge.src]
         tblk = cfg.action_block[edge.dst]
-        paths = graph.simple_paths(cfg, sblk, tblk, excluded=edge.bind)
-        if all(cut(p, cap_name) for p in paths):
+        if _uncut_path(succ, sblk, tblk, edge.bind, lambda e: cut(e, cap_name)) is None:
             continue
         kind_id = cheapest(cap_name)
         for s, d, _ in cfg.in_edges(tblk):
@@ -324,7 +359,7 @@ def greedy(cfg, edges, boundaries, profile, costs):
         )
         sides = cfg.in_edges(blk) if bc.direction == "pre" else cfg.out_edges(blk)
         for s, d, _ in sides:
-            if not any(getattr(profile.kind(k), cap_name) for k in placed.get((s, d), ())):
+            if not cut((s, d), cap_name):
                 place((s, d), cheapest(cap_name))
 
     plan = PlacementPlan(cfg.func.name, profile.name, 0)

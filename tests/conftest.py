@@ -53,6 +53,52 @@ def analyze_corpus(name, arch_name="armv7", **opt_kw):
     return [analyze(f, arch_name, **opt_kw) for f in parse_valid(load_corpus(name))]
 
 
+def span_source(k):
+    """One `vo first -> last` across k if/else diamonds: 2^k simple paths,
+    no dependencies."""
+    lines = [f"func span{k} {{", "  edge vo first -> last;", "  block entry:",
+             "    write @x 1 label first"]
+    for i in range(k):
+        lines += [f"    %c{i} = op cond{i}()", f"    br %c{i} ? t{i} : e{i}",
+                  f"  block t{i}:", f"    jmp j{i}", f"  block e{i}:", f"    jmp j{i}",
+                  f"  block j{i}:"]
+    lines += ["    write @y 1 label last", "    ret", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def random_cut_source(rng):
+    """Blocks b1..bn each hold one labelled write. Each bi (i < n) jumps
+    or branches to b(i+1), any other target is random, and bn may also
+    return, so loops, self-loops and irreducible regions all occur. An
+    optional `bind top` sits in a random block; the pu/vo edges pick
+    random labels, the same one at both ends included."""
+    n = rng.randint(1, 6)
+    instrs = {0: []}
+    terms = {0: "jmp b1"}
+    for i in range(1, n + 1):
+        instrs[i] = [f"write @g{i} 1 label l{i}"]
+        targets = [f"b{i + 1}" if i < n else rng.choice(["ret", f"b{rng.randint(1, n)}"])]
+        other = f"b{rng.randint(1, n)}"
+        if targets[0] != "ret" and other != targets[0] and rng.random() < 0.6:
+            targets.insert(rng.randint(0, 1), other)
+        if len(targets) == 2:
+            instrs[i].append(f"%c{i} = op cond{i}()")
+            terms[i] = f"br %c{i} ? {targets[0]} : {targets[1]}"
+        else:
+            terms[i] = targets[0] if targets[0] == "ret" else f"jmp {targets[0]}"
+    bind_at = rng.choice([None, *instrs])
+    if bind_at is not None:
+        instrs[bind_at].append("bind top")
+    lines = ["func f {"]
+    for _ in range(rng.randint(1, 3)):
+        scope = "here(top) " if bind_at is not None and rng.random() < 0.7 else ""
+        kind = rng.choice(["pu", "vo"])
+        lines.append(f"edge {kind} {scope}l{rng.randint(1, n)} -> l{rng.randint(1, n)};")
+    for i in instrs:
+        lines += [f"block b{i}:", *instrs[i], terms[i]]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 def random_problem(rng, max_vars=14):
     """Synthetic monotone minimization problem (always satisfiable: the
     all-true assignment meets every clause)."""

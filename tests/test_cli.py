@@ -3,7 +3,7 @@ import json
 import pytest
 
 from rmcfence import cli, ir
-from conftest import ARCHES, CORPUS_NAMES, corpus_path
+from conftest import ARCHES, CORPUS_NAMES, corpus_path, span_source
 
 
 def run(capsys, *argv):
@@ -79,6 +79,21 @@ def test_path_explosion_exit_code(capsys):
     assert "max-paths" in err
 
 
+@pytest.mark.parametrize("max_paths", [None, "1"])
+def test_many_paths_without_dependencies_compile(tmp_path, capsys, max_paths):
+    # 2^13 paths, more than the default cap, but a vo is a reachability cut
+    src = tmp_path / "span13.rmcir"
+    src.write_text(span_source(13))
+    dest = tmp_path / "plan.json"
+    extra = ["--max-paths", max_paths] if max_paths else []
+    code, _, err = run(capsys, "compile", str(src), "--arch", "armv7", "--out", str(dest), *extra)
+    assert code == 0, err
+    code, out, _ = run(capsys, "check", str(src), str(dest), "--arch", "armv7", *extra)
+    assert code == 0 and out.strip() == "OK"
+    code, out, _ = run(capsys, "oracle", str(src), "--arch", "armv7", *extra)
+    assert code == 0 and "MISMATCH" not in out
+
+
 def test_budget_exit_code(tmp_path, capsys):
     dest = tmp_path / "plan.json"
     code, _, err = run(
@@ -144,6 +159,15 @@ def test_explain_output(capsys):
     code, out, _ = run(capsys, "explain", str(corpus_path("loop")), "--arch", "armv7")
     assert code == 0
     assert "constraints:" in out and "weight=" in out and "plan (cost 65" in out
+
+
+def test_explain_budget_exit_code(capsys):
+    code, out, err = run(
+        capsys, "explain", str(corpus_path("ringbuf")), "--arch", "armv8", "--budget-ms", "0"
+    )
+    assert code == 3
+    assert "not proven optimal" in out and "budget exhausted" in err
+    assert "Traceback" not in err
 
 
 def test_explain_dump_problem(capsys):

@@ -2,8 +2,17 @@ import random
 
 import pytest
 
-from rmcfence import encode, solver
-from conftest import ARCHES, CORPUS_NAMES, analyze_corpus
+try:
+    from hypothesis import given, settings, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
+from rmcfence import encode, graph, solver
+from conftest import (
+    ARCHES, CORPUS_NAMES, analyze, analyze_corpus, parse_valid, random_cut_source,
+)
 
 
 def _all_problems(arch_name):
@@ -184,3 +193,51 @@ def test_def_values_equal_naive_greatest_fixpoint():
             true_vars = frozenset(v for i, v in enumerate(outs) if mask >> i & 1)
             assert encode.def_values(problem, true_vars) == _naive_gfp(defs, true_vars)
     assert shapes == {"acyclic", "self", "cycle"}
+
+
+def _per_path_cut(a, edge, true_vars):
+    """Reference: the constraint holds when every simple path carries a
+    barrier of the right capability (or, for vo, the target releases)."""
+    if edge.kind == "vo":
+        if a.profile.vis_exec_free:
+            return True
+        if "release" in a.profile.modes and encode.OutputVar("release", (edge.dst,)) in true_vars:
+            return True
+    cap = "cuts_push" if edge.kind == "pu" else "cuts_vis"
+    kinds = [k.id for k in a.profile.kinds_cutting(cap)]
+    paths = graph.simple_paths(
+        a.cfg, a.cfg.action_block[edge.src], a.cfg.action_block[edge.dst],
+        excluded=edge.bind, cap=1 << 20,
+    )
+    return all(
+        any(
+            encode.OutputVar("barrier", (k, u, v)) in true_vars
+            for u, v in zip(path, path[1:])
+            for k in kinds
+        )
+        for path in paths
+    )
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(st.integers(0, 2**32), st.sampled_from(ARCHES))
+    @settings(max_examples=300, deadline=None)
+    def test_reachability_cuts_equal_per_path_cuts(seed, arch_name):
+        rng = random.Random(seed)
+        (func,) = parse_valid(random_cut_source(rng))
+        a = analyze(func, arch_name)
+        universe = [
+            encode.OutputVar("barrier", (k.id, u, v))
+            for u, v, _ in a.cfg.edges
+            for k in a.profile.barriers
+        ] + [encode.OutputVar("release", (t,)) for t in a.cfg.actions]
+        for _ in range(8):
+            p = rng.random()
+            true_vars = frozenset(v for v in universe if rng.random() < p)
+            failed = set(encode.failed_assertions(a.problem, true_vars))
+            for edge in a.closed:
+                label = f"{edge.kind} {edge.src}->{edge.dst}" + (
+                    f" @{edge.bind}" if edge.bind else ""
+                )
+                assert (label not in failed) == _per_path_cut(a, edge, true_vars), label

@@ -3,8 +3,18 @@ import random
 
 import pytest
 
-from rmcfence import emit, solver, verify
-from conftest import ARCHES, CORPUS_NAMES, analyze_corpus, random_problem
+try:
+    from hypothesis import given, settings, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
+from rmcfence import emit, graph, solver, verify
+from conftest import (
+    ARCHES, CORPUS_NAMES, analyze, analyze_corpus, parse_valid, random_cut_source,
+    random_problem, span_source,
+)
 
 
 def _solved(name, arch_name):
@@ -57,6 +67,73 @@ def test_mutations_are_caught():
                         mutated = dataclasses.replace(plan)
                         setattr(mutated, field, items[:i] + items[i + 1 :])
                         assert _check(a, mutated), (name, a.func.name, arch_name, field)
+
+
+def test_uncut_witness_is_a_real_path():
+    # 2^8 paths; a dmb on both arms of the fourth diamond cuts them all
+    (func,) = parse_valid(span_source(8))
+    a = analyze(func, "armv7")
+    (edge,) = a.closed
+    plan = emit.PlacementPlan(func.name, "armv7", 0)
+    for arm in ("t3", "e3"):
+        anchor, pos = emit.edge_anchor(a.cfg, arm, "j3")
+        plan.barriers.append(emit.BarrierPlacement("dmb", arm, "j3", anchor, pos))
+    assert verify.check_plan(a.cfg, a.closed, a.boundaries, a.profile, plan, path_cap=1) == []
+
+    del plan.barriers[1]
+    (violation,) = _check(a, plan)
+    head, via = violation.split(" via ")
+    assert head == f"UNCUT vo {edge.src}->{edge.dst}"
+    path = via.strip("[]").split(",")
+    assert path[0] == a.cfg.action_block[edge.src]
+    assert path[-1] == a.cfg.action_block[edge.dst]
+    steps = set(zip(path, path[1:]))
+    assert steps <= {(s, d) for s, d, _ in a.cfg.edges}
+    assert len(set(path)) == len(path)
+    assert ("e3", "j3") in steps and ("t3", "j3") not in steps
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(st.integers(0, 2**32), st.sampled_from(ARCHES))
+    @settings(max_examples=300, deadline=None)
+    def test_pu_vo_check_equals_per_path_check(seed, arch_name):
+        """On random CFGs and plans, a pu/vo constraint is reported exactly
+        when some simple path is uncut, and its witness is such a path."""
+        rng = random.Random(seed)
+        (func,) = parse_valid(random_cut_source(rng))
+        a = analyze(func, arch_name)
+        for _ in range(4):
+            p = rng.random()
+            plan = emit.PlacementPlan(func.name, arch_name, 0)
+            for s, d in sorted({(s, d) for s, d, _ in a.cfg.edges}):
+                for k in a.profile.barriers:
+                    if rng.random() < p:
+                        anchor, pos = emit.edge_anchor(a.cfg, s, d)
+                        plan.barriers.append(emit.BarrierPlacement(k.id, s, d, anchor, pos))
+            if "release" in a.profile.modes:
+                plan.modes = [emit.ModeUse("release", t) for t in a.cfg.actions if rng.random() < p]
+            placed = {(b.kind, b.src, b.dst) for b in plan.barriers}
+            for edge in a.closed:
+                head = f"UNCUT {edge.kind} {edge.src}->{edge.dst} via "
+                found = verify.check_plan(a.cfg, [edge], [], a.profile, plan)
+                assert all(v.startswith(head) for v in found)
+                cap = "cuts_push" if edge.kind == "pu" else "cuts_vis"
+                strong = [k.id for k in a.profile.kinds_cutting(cap)]
+                paths = graph.simple_paths(
+                    a.cfg, a.cfg.action_block[edge.src], a.cfg.action_block[edge.dst],
+                    excluded=edge.bind, cap=1 << 20,
+                )
+                uncut = lambda path: not any(
+                    (k, u, v) in placed for u, v in zip(path, path[1:]) for k in strong
+                )
+                exempt = edge.kind == "vo" and (
+                    a.profile.vis_exec_free or emit.ModeUse("release", edge.dst) in plan.modes
+                )
+                assert len(found) == (not exempt and any(map(uncut, paths)))
+                if found:
+                    witness = tuple(found[0][len(head):].strip("[]").split(","))
+                    assert witness in paths and uncut(witness)
 
 
 def test_misplaced_barrier_rejected():
