@@ -17,12 +17,18 @@ path by path (`xcut_path`), because a data dependency serves a path,
 not a walk; its self-ordering requirement makes those definitions
 cyclic too.
 
-Evaluation walks the strongly connected components of the def graph
-(`graph.sccs`) in dependency order. A def that does not refer to itself,
-directly or through others, is evaluated once. A cyclic component starts
-at True and descends locally, re-evaluating its members until nothing
-changes; its inputs from earlier components are already final. The
-formula is monotone, so this is the whole system's greatest fixpoint.
+Evaluation runs on a form compiled once per problem (`Compiled`, cached
+on the `Problem`): an assignment is an int bitmask over the positions in
+`problem.outputs`, and every def, nested and/or and assertion is a flat
+row (slot, is_and, out_mask, child slots) whose output leaves fold into
+one mask test. The rows follow the strongly connected components of the
+def graph (`graph.sccs`) in dependency order. A def that does not refer
+to itself, directly or through others, is evaluated once. A cyclic
+component starts at True and descends locally, re-evaluating its rows
+until no def changes; its inputs from earlier components are already
+final. The formula is monotone, so this is the whole system's greatest
+fixpoint. `def_values`, `failed_assertions` and `satisfies` take sets of
+OutputVars and turn them into a mask; the solver works on masks.
 """
 
 from __future__ import annotations
@@ -78,9 +84,8 @@ class Problem:
     defs: dict  # name -> expr
     asserts: list  # (label, expr)
     cost_terms: list  # (weight, frozenset of OutputVars)
-    paths: dict  # "pN" -> block tuple
     weights: dict = field(default_factory=dict)  # (src, dst) -> w(e)
-    _components: "list | None" = None  # def SCCs, built on first evaluation
+    _compiled: "Compiled | None" = None  # built on first evaluation
 
     def objective(self, true_vars):
         return sum(w for w, group in self.cost_terms if group & true_vars)
@@ -135,7 +140,6 @@ class Encoder:
         self.defs = {}
         self.asserts = []
         self.vars = set()
-        self.paths = {}
         self._path_ids = {}
         self._building = set()
         self._paths_memo = {}
@@ -155,7 +159,6 @@ class Encoder:
         if pid is None:
             pid = f"p{len(self._path_ids)}"
             self._path_ids[path] = pid
-            self.paths[pid] = path
         return pid
 
     def _paths_between(self, bind, s, t):
@@ -417,7 +420,6 @@ class Encoder:
             defs=self.defs,
             asserts=self.asserts,
             cost_terms=self._cost_terms(),
-            paths=dict(self.paths),
             weights=dict(self.weights),
         )
 
@@ -485,46 +487,150 @@ def _components(problem):
     return steps
 
 
-def _eval_expr(expr, env, true_vars):
-    tag = expr[0]
-    if tag == "const":
-        return expr[1]
-    if tag == "out":
-        return expr[1] in true_vars
-    if tag == "def":
-        return env[expr[1]]
-    # Plain loops, not any()/all() over generators: this is the solver's
-    # inner loop, and a generator per node costs time and GC allocations.
-    want = tag == "or"
-    for p in expr[1]:
-        if _eval_expr(p, env, true_vars) == want:
-            return want
-    return not want
+_FALSE_SLOT, _TRUE_SLOT = 0, 1
+
+
+class Compiled:
+    """The formula as flat rows over an output bitmask.
+
+    Output `problem.outputs[i]` is the bit `1 << i` of a mask. Every
+    definition, every nested and/or and every assertion that is not a bare
+    def owns a slot and a row (slot, is_and, out_mask, child slots). An or
+    row is true when `m & out_mask` is non-zero or some child is; an and
+    row needs `m & out_mask == out_mask` and every child. Slots 0 and 1
+    hold the constants False and True. The rows come in steps, children
+    before parents: the acyclic runs and cyclic components of
+    `_components`, then the assertions. The object holds nothing of the
+    `Problem`, so caching it there makes no reference cycle.
+    """
+
+    def __init__(self, problem):
+        self.index = {v: i for i, v in enumerate(problem.outputs)}
+        self.def_slot = {name: i + 2 for i, name in enumerate(problem.defs)}
+        self.nslots = self.def_end = len(self.def_slot) + 2  # defs: slots 2..def_end-1
+        self.steps = []  # (rows, def slots of a cyclic component or [])
+        for run, cycle in _components(problem):
+            if run:
+                self.steps.append((self._def_rows(run), []))
+            if cycle:
+                slots = [self.def_slot[name] for name, _ in cycle]
+                self.steps.append((self._def_rows(cycle), slots))
+        rows = []
+        self.asserts = [(label, self._slot(expr, rows)) for label, expr in problem.asserts]
+        self.steps.append((rows, []))
+
+    def _def_rows(self, members):
+        rows = []
+        for name, expr in members:
+            self._row(expr, rows, self.def_slot[name])
+        return rows
+
+    def _slot(self, expr, rows):
+        tag = expr[0]
+        if tag == "const":
+            return _TRUE_SLOT if expr[1] else _FALSE_SLOT
+        if tag == "def":
+            return self.def_slot[expr[1]]
+        return self._row(expr, rows)
+
+    def _row(self, expr, rows, slot=None):
+        """Append the rows of `expr` to `rows`, its own last, at `slot` or
+        a fresh one; returns the slot."""
+        tag, parts = expr if expr[0] in ("or", "and") else ("or", (expr,))
+        mask, kids = 0, []
+        for p in parts:
+            if p[0] == "out":
+                mask |= 1 << self.index[p[1]]
+            else:
+                kids.append(self._slot(p, rows))
+        if slot is None:
+            slot = self.nslots
+            self.nslots += 1
+        rows.append((slot, tag == "and", mask, tuple(kids)))
+        return slot
+
+    def values(self, m):
+        """Every slot's value under the output mask `m`."""
+        val = [False] * self.nslots
+        val[_TRUE_SLOT] = True
+        # The acyclic and the cyclic loop differ only in how they store v;
+        # one shared loop made every evaluation about 15% slower.
+        for rows, cycle in self.steps:
+            if not cycle:
+                for slot, is_and, mask, kids in rows:
+                    if is_and:
+                        v = m & mask == mask
+                        if v:
+                            for k in kids:
+                                if not val[k]:
+                                    v = False
+                                    break
+                    else:
+                        v = m & mask != 0
+                        if not v:
+                            for k in kids:
+                                if val[k]:
+                                    v = True
+                                    break
+                    val[slot] = v
+                continue
+            # A cyclic component starts at True and descends until no def
+            # changes; its inputs from earlier steps are final. Nested rows
+            # are recomputed before use, so their changes do not count.
+            for slot in cycle:
+                val[slot] = True
+            changed = True
+            while changed:
+                changed = False
+                for slot, is_and, mask, kids in rows:
+                    if is_and:
+                        v = m & mask == mask
+                        if v:
+                            for k in kids:
+                                if not val[k]:
+                                    v = False
+                                    break
+                    else:
+                        v = m & mask != 0
+                        if not v:
+                            for k in kids:
+                                if val[k]:
+                                    v = True
+                                    break
+                    if val[slot] != v:
+                        val[slot] = v
+                        if slot < self.def_end:
+                            changed = True
+        return val
+
+    def failed(self, m):
+        """Labels of the assertions that fail under the output mask `m`."""
+        val = self.values(m)
+        return [label for label, slot in self.asserts if not val[slot]]
+
+    def mask(self, true_vars):
+        """The output mask of a set of OutputVars; others are ignored."""
+        return sum(1 << self.index[v] for v in true_vars if v in self.index)
+
+
+def compiled(problem):
+    """The problem's `Compiled` form, built on first use."""
+    if problem._compiled is None:
+        problem._compiled = Compiled(problem)
+    return problem._compiled
 
 
 def def_values(problem, true_vars):
     """Values of all defined variables under an output assignment: the
     greatest fixpoint, one SCC at a time (see the module docstring)."""
-    if problem._components is None:
-        problem._components = _components(problem)
-    env = {}
-    for run, cycle in problem._components:
-        for name, expr in run:
-            env[name] = _eval_expr(expr, env, true_vars)
-        env.update((name, True) for name, _ in cycle)
-        changed = bool(cycle)
-        while changed:
-            changed = False
-            for name, expr in cycle:
-                if env[name] and not _eval_expr(expr, env, true_vars):
-                    env[name] = False
-                    changed = True
-    return env
+    c = compiled(problem)
+    val = c.values(c.mask(true_vars))
+    return {name: val[slot] for name, slot in c.def_slot.items()}
 
 
 def failed_assertions(problem, true_vars):
-    env = def_values(problem, true_vars)
-    return [label for label, expr in problem.asserts if not _eval_expr(expr, env, true_vars)]
+    c = compiled(problem)
+    return c.failed(c.mask(true_vars))
 
 
 def satisfies(problem, true_vars):

@@ -15,19 +15,28 @@ separately, so the sum of their cheapest group weights is a bound; an
 assertion whose group is already paid for by a true output adds
 nothing. This is the independent-clause bound of weighted MaxSAT and
 set-cover branch-and-bound, with disjointness taken over cost groups,
-not variables, because `use_data` outputs share one cost term.
+not variables, because `use_data` outputs share one cost term. The
+undecided outputs of a node are a suffix of each assertion's sorted
+support, so `bound_data` tabulates, per assertion and suffix, the cost
+groups as a bitmask, the cheapest of their weights, the output mask of
+their members (a true member means paid) and whether an output is
+costless; a node looks its entry up by bisection.
 
-The search is a loop over an explicit stack of (next output, true
-outputs), so its depth is not limited by Python's recursion. With
-strict >=-pruning the first optimum found is the lexicographically
-smallest one, so results are deterministic.
+The search is a loop over an explicit stack of (next output, mask of the
+true outputs, their cost), so its depth is not limited by Python's
+recursion. Output i is the bit `1 << i`, the formula is evaluated by
+`encode.Compiled` on that mask, and setting an output True adds its cost
+group's weight unless a member is already True. Only the result becomes
+a frozenset `Assignment`. With strict >=-pruning the first optimum found
+is the lexicographically smallest one, so results are deterministic.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import encode
 
@@ -54,18 +63,27 @@ class Assignment:
 class BoundData:
     """What the lower bound needs of a problem, computed once."""
 
-    position: dict  # OutputVar -> index in problem.outputs
-    group: list  # output index -> cost-group index, None if the output is free
-    weight: list  # cost-group index -> weight
     support: dict  # assertion label -> sorted indices of the outputs it reaches
+    # assertion label -> per position p in its support, for the outputs
+    # support[p:]: None if one of them is costless, else (cheapest weight,
+    # bitmask of their cost groups, output mask of those groups' members)
+    suffix: dict
+
+
+def _cost_groups(problem, index):
+    """(output mask of its members, weight) per cost group, and each
+    output's group index (None if the output is costless)."""
+    groups, group = [], [None] * len(problem.outputs)
+    for g, (w, members) in enumerate(problem.cost_terms):
+        groups.append((sum(1 << index[v] for v in members), w))
+        for v in members:
+            group[index[v]] = g
+    return groups, group
 
 
 def bound_data(problem):
-    position = {v: i for i, v in enumerate(problem.outputs)}
-    group = [None] * len(problem.outputs)
-    for g, (_w, members) in enumerate(problem.cost_terms):
-        for v in members:
-            group[position[v]] = g
+    index = encode.compiled(problem).index
+    groups, group = _cost_groups(problem, index)
     support = {}
     for label, expr in problem.asserts:
         # Definitions can be cyclic: walk them once each, without recursion.
@@ -74,7 +92,7 @@ def bound_data(problem):
             e = stack.pop()
             tag = e[0]
             if tag == "out":
-                outs.add(position[e[1]])
+                outs.add(index[e[1]])
             elif tag == "def":
                 if e[1] not in seen:
                     seen.add(e[1])
@@ -84,29 +102,41 @@ def bound_data(problem):
         # Assertions that share a label share the union of their supports:
         # a larger support only weakens the bound.
         support[label] = sorted(outs)
-    return BoundData(position, group, [w for w, _ in problem.cost_terms], support)
+    suffix = {}
+    for label, outs in support.items():
+        table, entry = [None] * len(outs), (math.inf, 0, 0)
+        for p in reversed(range(len(outs))):
+            g = group[outs[p]]
+            if g is None:
+                entry = None
+            elif entry is not None:
+                members, w = groups[g]
+                entry = (min(entry[0], w), entry[1] | 1 << g, entry[2] | members)
+            table[p] = entry
+        suffix[label] = table
+    return BoundData(support, suffix)
 
 
-def lower_bound(data, i, trues, failed):
-    """A lower bound on the cost that any satisfying completion of `trues`
-    setting only outputs i.. True adds to `trues`' own, given the labels
-    of the assertions `trues` fails; None if one of them can no longer be
-    satisfied."""
-    paid = {data.group[data.position[v]] for v in trues}
+def lower_bound(data, i, m, failed):
+    """A lower bound on the cost that any satisfying completion of the
+    output mask `m` setting only outputs i.. True adds to `m`'s own, given
+    the labels of the assertions `m` fails; None if one of them can no
+    longer be satisfied."""
     needs = []
     for label in failed:
         support = data.support[label]
-        free = support[bisect.bisect_left(support, i):]
-        if not free:
+        p = bisect.bisect_left(support, i)
+        if p == len(support):
             return None
-        groups = {data.group[j] for j in free}
-        if None in groups or not groups.isdisjoint(paid):
-            continue
-        needs.append((min(data.weight[g] for g in groups), groups))
+        free = data.suffix[label][p]
+        # Nothing to add if a free output is costless or a true output
+        # already paid for one of the free groups.
+        if free is not None and not m & free[2]:
+            needs.append(free)
     needs.sort(key=lambda n: -n[0])
-    lb, used = 0, set()
-    for marginal, groups in needs:
-        if used.isdisjoint(groups):
+    lb, used = 0, 0
+    for marginal, groups, _members in needs:
+        if not used & groups:
             lb += marginal
             used |= groups
     return lb
@@ -120,46 +150,54 @@ def solve_min(problem, budget_ms=None):
     assignment found so far, or all devices placed if none was.
     """
     outputs = problem.outputs
-    all_vars = frozenset(outputs)
-    if not encode.satisfies(problem, all_vars):
+    n = len(outputs)
+    formula = encode.compiled(problem)
+    everything = (1 << n) - 1
+    if formula.failed(everything):
         raise Unsatisfiable(
             f"{problem.function}/{problem.arch}: constraints uncuttable with every device placed"
         )
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+    groups, group = _cost_groups(problem, formula.index)
+    # Setting output i True adds its group's weight unless a member is True.
+    charge = [(0, 0) if g is None else groups[g] for g in group]
 
-    best = None  # Assignment
+    def assignment(m, cost):
+        trues = frozenset(v for j, v in enumerate(outputs) if m >> j & 1)
+        return Assignment(trues, cost, decisions=decisions)
+
+    best = None  # (mask, cost)
     data = None  # BoundData, built when the first incumbent can prune
     decisions = 0
-    stack = [(0, frozenset())]
+    stack = [(0, 0, 0)]  # (next output, mask of the true outputs, their cost)
     while stack:
-        i, trues = stack.pop()
+        i, m, cost = stack.pop()
         decisions += 1
         if deadline is not None and time.monotonic() > deadline:
-            incumbent = best or Assignment(all_vars, problem.objective(all_vars))
-            raise BudgetExceeded(replace(incumbent, decisions=decisions))
-        cost = problem.objective(trues)
-        if best is not None and cost >= best.cost:
+            if best is None:
+                best = (everything, problem.objective(frozenset(outputs)))
+            raise BudgetExceeded(assignment(*best))
+        if best is not None and cost >= best[1]:
             continue
-        failed = encode.failed_assertions(problem, trues)
+        failed = formula.failed(m)
         if not failed:
-            best = Assignment(trues, cost)
+            best = (m, cost)
             continue
-        if i == len(outputs):
+        if i == n:
             continue
         if best is not None:
             if data is None:
                 data = bound_data(problem)
-            lb = lower_bound(data, i, trues, failed)
-            if lb is None or cost + lb >= best.cost:
+            lb = lower_bound(data, i, m, failed)
+            if lb is None or cost + lb >= best[1]:
                 continue
         # A True child's "rest True" is its parent's, already satisfiable;
         # the root's is all devices.
-        if i and outputs[i - 1] not in trues and not encode.satisfies(
-            problem, trues | frozenset(outputs[i:])
-        ):
+        if i and not m >> (i - 1) & 1 and formula.failed(m | everything >> i << i):
             continue
         # The False child is pushed last, so it is searched first.
-        stack.append((i + 1, trues | {outputs[i]}))
-        stack.append((i + 1, trues))
+        members, w = charge[i]
+        stack.append((i + 1, m | 1 << i, cost if m & members else cost + w))
+        stack.append((i + 1, m, cost))
     assert best is not None  # all-true satisfied, so something must
-    return replace(best, decisions=decisions)
+    return assignment(*best)

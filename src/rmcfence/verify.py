@@ -253,8 +253,9 @@ def check_plan(cfg, edges, boundaries, profile, plan, path_cap=graph.DEFAULT_MAX
             uncut = [ck.uncut_path(sblk, tblk, edge.bind, lambda k: k.cuts_vis)]
         else:
             uncut = []
+        scope = f" @{edge.bind}" if edge.bind else ""
         for path in filter(None, uncut):
-            out.append(f"UNCUT {edge.kind} {edge.src}->{edge.dst} via {_fmt_path(path)}")
+            out.append(f"UNCUT {edge.kind} {edge.src}->{edge.dst}{scope} via {_fmt_path(path)}")
     for bc in boundaries:
         action = cfg.actions[bc.action]
         blk = cfg.action_block[bc.action]

@@ -66,6 +66,26 @@ def span_source(k):
     return "\n".join(lines) + "\n"
 
 
+def walk_source(n):
+    """A linked-list walk: the next-pointer read feeds its own address
+    through a loop phi, n field reads depend on it by address, and each
+    field read guards a write. Self-ordering of the dependency sources
+    makes the definitions cyclic."""
+    lines = [f"func walk{n} {{"]
+    lines += [f"  edge xo next -> f{i};" for i in range(n)]
+    lines += [f"  edge xo f{i} -> w{i};" for i in range(n)]
+    lines += ["  block b00:", "    %h = read @head", "    jmp b01", "  block b01:",
+              f"    %p = phi [b00: %h], [b{2 * n + 1:02}: %q]", "    %q = read *%p label next"]
+    for i in range(n):
+        hit, join = f"b{2 * i + 2:02}", f"b{2 * i + 3:02}"
+        lines += [f"    %a{i} = op field{i}(%q)", f"    %f{i} = read *%a{i} label f{i}",
+                  f"    br %f{i} ? {hit} : {join}", f"  block {hit}:",
+                  f"    write @out{i} 1 label w{i}", f"    jmp {join}", f"  block {join}:"]
+    lines += ["    %more = op more(%q)", f"    br %more ? b01 : b{2 * n + 2:02}",
+              f"  block b{2 * n + 2:02}:", "    ret", "}"]
+    return "\n".join(lines) + "\n"
+
+
 def random_cut_source(rng):
     """Blocks b1..bn each hold one labelled write. Each bi (i < n) jumps
     or branches to b(i+1), any other target is random, and bn may also
@@ -132,5 +152,4 @@ def random_problem(rng, max_vars=14):
         defs=defs,
         asserts=asserts,
         cost_terms=cost_terms,
-        paths={},
     )

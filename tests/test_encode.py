@@ -94,7 +94,6 @@ def test_cyclic_definitions_take_greatest_fixpoint():
         defs={"x": ("or", (("out", v), ("def", "y"))), "y": ("def", "x")},
         asserts=[("cycle", ("def", "x"))],
         cost_terms=[(1, frozenset([v]))],
-        paths={},
     )
     # A cycle with no grounded support still self-justifies under the
     # greatest fixpoint — the coinductive reading the rules rely on.
@@ -110,7 +109,6 @@ def test_acyclic_definitions_stay_grounded():
         defs={"x": ("or", (("out", v),))},
         asserts=[("need", ("def", "x"))],
         cost_terms=[(1, frozenset([v]))],
-        paths={},
     )
     assert not encode.satisfies(problem, frozenset())
     assert encode.satisfies(problem, frozenset([v]))
@@ -138,30 +136,40 @@ def test_overlap_armv7_outputs_are_the_interior_edges():
     assert all(v.kind == "barrier" and v.detail[0] == "dmb" for v in outs)
 
 
+def _naive_eval(expr, env, true_vars):
+    tag, arg = expr
+    if tag == "const":
+        return arg
+    if tag == "out":
+        return arg in true_vars
+    if tag == "def":
+        return env[arg]
+    parts = [_naive_eval(p, env, true_vars) for p in arg]
+    return any(parts) if tag == "or" else all(parts)
+
+
+def _subexprs(expr):
+    yield expr
+    if expr[0] in ("and", "or"):
+        for p in expr[1]:
+            yield from _subexprs(p)
+
+
 def _naive_gfp(defs, true_vars):
     """Reference: start every def at True and re-evaluate the whole system
     until nothing changes."""
-
-    def ev(expr, env):
-        tag, arg = expr
-        if tag == "const":
-            return arg
-        if tag == "out":
-            return arg in true_vars
-        if tag == "def":
-            return env[arg]
-        parts = [ev(p, env) for p in arg]
-        return any(parts) if tag == "or" else all(parts)
-
     env = {name: True for name in defs}
     while True:
-        nxt = {name: ev(expr, env) for name, expr in defs.items()}
+        nxt = {name: _naive_eval(expr, env, true_vars) for name, expr in defs.items()}
         if nxt == env:
             return env
         env = nxt
 
 
 def test_def_values_equal_naive_greatest_fixpoint():
+    """Random def systems with assertions over them: every def value and
+    every failed assertion equals the naive reference under every
+    assignment of the outputs."""
     rng = random.Random(11)
     outs = [encode.OutputVar("barrier", ("k", f"b{i}", f"b{i + 1}")) for i in range(3)]
     shapes = set()
@@ -180,19 +188,39 @@ def test_def_values_equal_naive_greatest_fixpoint():
             return (tag, tuple(expr(depth - 1) for _ in range(rng.randint(1, 3))))
 
         defs = {name: expr(2) for name in names}
+        # Few labels, so that assertions often share one.
+        asserts = [(f"a{rng.randint(0, 2)}", expr(3)) for _ in range(rng.randint(0, 5))]
         problem = encode.Problem(
             function="t", arch="none", outputs=outs, defs=defs,
-            asserts=[], cost_terms=[], paths={},
+            asserts=asserts, cost_terms=[],
         )
+        cyclic = set()
         for run, cycle in encode._components(problem):
             if run:
                 shapes.add("acyclic")
             if cycle:
                 shapes.add("cycle" if len(cycle) > 1 else "self")
+                cyclic.update(name for name, _ in cycle)
+        for _label, e in asserts:
+            refs = set()
+            encode._def_refs(e, refs)
+            if refs & cyclic:
+                shapes.add("assertion on a cycle")
+            tags = [x[0] for x in _subexprs(e)]
+            if tags[0] in ("and", "or") and {"and", "or"} & set(tags[1:]) and "const" in tags:
+                shapes.add("nested with constants")
+        if len({label for label, _ in asserts}) < len(asserts):
+            shapes.add("shared label")
         for mask in range(2 ** len(outs)):
             true_vars = frozenset(v for i, v in enumerate(outs) if mask >> i & 1)
-            assert encode.def_values(problem, true_vars) == _naive_gfp(defs, true_vars)
-    assert shapes == {"acyclic", "self", "cycle"}
+            env = _naive_gfp(defs, true_vars)
+            assert encode.def_values(problem, true_vars) == env
+            want = [label for label, e in asserts if not _naive_eval(e, env, true_vars)]
+            assert encode.failed_assertions(problem, true_vars) == want
+    assert shapes == {
+        "acyclic", "self", "cycle", "assertion on a cycle", "nested with constants",
+        "shared label",
+    }
 
 
 def _per_path_cut(a, edge, true_vars):

@@ -1,4 +1,6 @@
 import gc
+import json
+import pathlib
 import random
 import weakref
 
@@ -12,7 +14,14 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 from rmcfence import encode, solver, verify
-from conftest import analyze, analyze_corpus, parse_valid, random_problem, CORPUS_NAMES
+from conftest import (
+    ARCHES, CORPUS_NAMES, analyze, analyze_corpus, parse_valid, random_problem, walk_source,
+)
+
+# Search nodes (`Assignment.decisions`) per "<file> <arch> <function>" of the
+# corpus and per "walk<n> <arch>" of `walk_source(n)`. A change that means
+# to alter node counts regenerates the fixture and says why.
+NODES = json.loads((pathlib.Path(__file__).parent / "solver_nodes.json").read_text())
 
 
 def test_matches_exhaustive_on_corpus():
@@ -54,6 +63,23 @@ def test_result_is_lexicographically_least_among_optima():
         assert indicator(got.true_vars) == min(optima)
 
 
+def test_node_counts_unchanged():
+    got = {}
+    for name in CORPUS_NAMES:
+        for arch_name in ARCHES:
+            for a in analyze_corpus(name, arch_name):
+                got[f"{name} {arch_name} {a.func.name}"] = solver.solve_min(a.problem).decisions
+    for n in (2, 3):
+        (func,) = parse_valid(walk_source(n))
+        for arch_name in ARCHES:
+            a = analyze(func, arch_name)
+            if arch_name != "x86":
+                # The walk exercises cyclic definitions.
+                assert any(cycle for _run, cycle in encode._components(a.problem))
+            got[f"walk{n} {arch_name}"] = solver.solve_min(a.problem).decisions
+    assert got == NODES
+
+
 def test_deterministic_across_runs():
     for a in analyze_corpus("ringbuf", "armv8"):
         first = solver.solve_min(a.problem)
@@ -64,7 +90,7 @@ def test_deterministic_across_runs():
 def test_unsatisfiable_is_reported():
     p = encode.Problem(
         function="t", arch="none", outputs=[], defs={},
-        asserts=[("impossible", ("const", False))], cost_terms=[], paths={},
+        asserts=[("impossible", ("const", False))], cost_terms=[],
     )
     with pytest.raises(solver.Unsatisfiable):
         solver.solve_min(p)
@@ -89,7 +115,7 @@ def test_deep_search_does_not_recurse():
     p = encode.Problem(
         function="deep", arch="none", outputs=outputs, defs={},
         asserts=[("all", ("and", tuple(("out", v) for v in outputs)))],
-        cost_terms=[(1, frozenset([v])) for v in outputs], paths={},
+        cost_terms=[(1, frozenset([v])) for v in outputs],
     )
     got = solver.solve_min(p)
     assert got.true_vars == frozenset(outputs)
@@ -146,9 +172,7 @@ if HAVE_HYPOTHESIS:
         i = data.draw(st.integers(0, n))
         mask = data.draw(st.integers(0, (1 << i) - 1))
         trues = frozenset(v for j, v in enumerate(p.outputs[:i]) if mask >> j & 1)
-        lb = solver.lower_bound(
-            solver.bound_data(p), i, trues, encode.failed_assertions(p, trues)
-        )
+        lb = solver.lower_bound(solver.bound_data(p), i, mask, encode.failed_assertions(p, trues))
         rest = p.outputs[i:]
         cheapest = None
         for m in range(1 << len(rest)):

@@ -93,6 +93,23 @@ def test_uncut_witness_is_a_real_path():
     assert ("e3", "j3") in steps and ("t3", "j3") not in steps
 
 
+def test_uncut_lines_name_the_binding():
+    # A scoped and an unscoped constraint on one pair, both uncut by the
+    # same loop: each line says which one it is, as the encoder's labels do.
+    (func,) = parse_valid(
+        "func loop {\n  edge pu here(top) l1 -> l1;\n  edge pu l1 -> l1;\n"
+        "  block b0:\n    bind top\n    jmp b1\n"
+        "  block b1:\n    write @g 1 label l1\n    %c = op more()\n    br %c ? b1 : b2\n"
+        "  block b2:\n    ret\n}\n"
+    )
+    a = analyze(func, "armv7")
+    scoped, unscoped = a.closed
+    assert (scoped.bind, unscoped.bind) == ("b0", None)
+    found = _check(a, emit.PlacementPlan(func.name, "armv7", 0))
+    via = " via [b1,b1.s1,crit.b1.s1.b1,b1]"
+    assert found == [f"UNCUT pu a0->a0 @b0{via}", f"UNCUT pu a0->a0{via}"]
+
+
 if HAVE_HYPOTHESIS:
 
     @given(st.integers(0, 2**32), st.sampled_from(ARCHES))
@@ -115,7 +132,8 @@ if HAVE_HYPOTHESIS:
                 plan.modes = [emit.ModeUse("release", t) for t in a.cfg.actions if rng.random() < p]
             placed = {(b.kind, b.src, b.dst) for b in plan.barriers}
             for edge in a.closed:
-                head = f"UNCUT {edge.kind} {edge.src}->{edge.dst} via "
+                scope = f" @{edge.bind}" if edge.bind else ""
+                head = f"UNCUT {edge.kind} {edge.src}->{edge.dst}{scope} via "
                 found = verify.check_plan(a.cfg, [edge], [], a.profile, plan)
                 assert all(v.startswith(head) for v in found)
                 cap = "cuts_push" if edge.kind == "pu" else "cuts_vis"
