@@ -5,13 +5,14 @@ source), check (validate a plan against its source), explain (show the
 closed constraints, weights, and cost breakdown), oracle (cross-check
 the optimizer against exhaustive search and the greedy baseline).
 
-Exit codes: 0 success/valid, 1 invalid input, 2 path explosion,
-3 budget exhausted, 4 invalid plan / oracle mismatch.
+Exit codes: 0 success/valid, 1 invalid input or usage error, 2 path
+explosion, 3 budget exhausted, 4 invalid plan / oracle mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -45,10 +46,21 @@ def _add_common(p):
     p.add_argument("--loop-factor", type=int, default=None, help="per-loop-level weight multiplier")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_INPUT, not argparse's 2, which means path
+    explosion here. Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="rmcfence", description="memory-barrier placement optimizer"
-    )
+    """The argument parser, built once per process and shared by every
+    `main` call; `parse_args` returns a fresh namespace each time. Do not
+    modify the returned parser."""
+    ap = _ArgumentParser(prog="rmcfence", description="memory-barrier placement optimizer")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("compile", help="compute a minimal placement plan")
@@ -212,8 +224,7 @@ def cmd_explain(args):
         for bc in boundaries:
             out.append(f"    {bc.direction}({bc.kind}) {bc.action}")
         out.append("  edges:")
-        depths = graph.loop_depths(cfg)
-        weights = graph.edge_weights(cfg, costs.loop_factor)
+        weights, depths = graph.weights_and_depths(cfg, costs.loop_factor)
         for s, d, pseudo in cfg.edges:
             tag = " pseudo" if pseudo else ""
             out.append(f"    {s} -> {d}{tag}  depth={depths[(s, d)]} weight={weights[(s, d)]}")

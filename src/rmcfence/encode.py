@@ -474,6 +474,9 @@ def _components(problem):
         acc = set()
         _def_refs(expr, acc)
         refs[name] = sorted(acc)
+    if not any(refs.values()):
+        # no def refers to another: what `graph.sccs` gives for an edgeless graph
+        return [([(name, problem.defs[name]) for name in sorted(refs)], [])]
     steps, run = [], []
     for comp in graph.sccs(problem.defs, [(n, m) for n, ms in refs.items() for m in ms]):
         names = sorted(comp)

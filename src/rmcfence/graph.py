@@ -8,7 +8,7 @@ for irreducible regions).
 
 from __future__ import annotations
 
-from .ir import compute_dominators
+from .ir import Ret, compute_dominators
 
 DEFAULT_MAX_PATHS = 4096
 
@@ -144,6 +144,10 @@ def _loop_bodies(cfg, back):
 def loop_depths(cfg):
     """Map (src, dst) -> number of enclosing loops. Pseudo edges get 0."""
     back, _ = _back_edges(cfg)
+    return _depths(cfg, back)
+
+
+def _depths(cfg, back):
     bodies = _loop_bodies(cfg, back)
     depths = {}
     for s, d, pseudo in cfg.edges:
@@ -159,8 +163,14 @@ def edge_weights(cfg, loop_factor=4):
 
     pathcount counts entry->exit simple paths through e in the DAG left
     after deleting back and pseudo edges; a pseudo edge counts the full
-    paths that end at its source exit.
+    paths that end at its source exit. depth(e) is `loop_depths`. One
+    back-edge pass serves both.
     """
+    return weights_and_depths(cfg, loop_factor)[0]
+
+
+def weights_and_depths(cfg, loop_factor=4):
+    """(`edge_weights`, `loop_depths`) of `cfg` from one back-edge pass."""
     if loop_factor < 1:
         raise ValueError("loop_factor must be >= 1")
     back, _ = _back_edges(cfg)
@@ -181,7 +191,7 @@ def edge_weights(cfg, loop_factor=4):
         for v in succ[b]:
             to_exit[b] += to_exit[v]
 
-    depths = loop_depths(cfg)
+    depths = _depths(cfg, back)
     weights = {}
     for s, d, pseudo in cfg.edges:
         if pseudo:
@@ -191,12 +201,10 @@ def edge_weights(cfg, loop_factor=4):
         else:
             count = from_entry[s] * to_exit[d]
         weights[(s, d)] = max(1, count) * loop_factor ** depths[(s, d)]
-    return weights
+    return weights, depths
 
 
 def _is_ret(cfg, b):
-    from .ir import Ret
-
     return isinstance(cfg.blocks[b].term, Ret)
 
 

@@ -10,7 +10,8 @@ breaks critical edges, and closes the CFG with exit->entry pseudo edges.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Operands are either SSA value ids (str, without the % sigil) or int literals.
 Operand = "int | str"
@@ -158,57 +159,55 @@ def predecessor_map(func):
 # Tokenizer / parser
 
 
+# Each match is the whitespace and comments before one token, then the
+# token; `bad` catches any character no token can start with.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*|;;[^\n]*)
-  | (?P<val>%[A-Za-z_][A-Za-z_0-9]*)
+    (?:\s+|\#[^\n]*|;;[^\n]*)*
+    (?:(?P<val>%[A-Za-z_][A-Za-z_0-9]*)
   | (?P<int>-?\d+)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<arrow>->)
   | (?P<punct>[{}:;?,\[\]()@*=])
+  | (?P<eof>\Z)
+  | (?P<bad>.))
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the source; line and column are derived on error
+
+
+def _diagnostic_at(text, pos, msg):
+    line = text.count("\n", 0, pos) + 1
+    return Diagnostic(line, pos - text.rfind("\n", 0, pos), msg)
 
 
 def _tokenize(text):
+    new = tuple.__new__  # skips the NamedTuple constructor's Python frame
     toks = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError([Diagnostic(line, col, f"unexpected character {text[pos]!r}")])
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        s = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(kind, s, line, col))
-        nl = s.count("\n")
-        if nl:
-            line += nl
-            col = len(s) - s.rfind("\n")
-        else:
-            col += len(s)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
-    return toks
+        if kind == "bad":
+            msg = f"unexpected character {m[kind]!r}"
+            raise ParseError([_diagnostic_at(text, m.start(kind), msg)])
+        toks.append(new(_Tok, (kind, m[kind], m.start(kind))))
+        if kind == "eof":
+            return toks
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
 
-    def peek(self, ahead=0):
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self):
+        return self.toks[self.i]
 
     def next(self):
         t = self.toks[self.i]
@@ -217,7 +216,7 @@ class _Parser:
         return t
 
     def error(self, tok, msg):
-        raise ParseError([Diagnostic(tok.line, tok.col, msg)])
+        raise ParseError([_diagnostic_at(self.text, tok.pos, msg)])
 
     def expect(self, text=None, kind=None, what=None):
         t = self.next()
@@ -529,25 +528,66 @@ def print_function(func):
 
 
 def compute_dominators(block_ids, entry, succ):
-    """Iterative dominator sets, dict block -> set of dominators."""
-    preds = {b: [] for b in block_ids}
-    for b in block_ids:
+    """Dominator sets, dict block -> set of the blocks that dominate it.
+
+    Cooper, Harvey & Kennedy, "A Simple, Fast Dominance Algorithm"
+    (2001): number the blocks in reverse postorder of a depth-first
+    search from `entry`, iterate each block's immediate dominator with
+    the two-finger intersect on those numbers until none changes, then
+    build the sets in reverse postorder, each its immediate dominator's
+    plus the block itself. The result is defined for the blocks reachable
+    from `entry`, and every block in `block_ids` must be one: `validate`
+    rejects unreachable blocks before it asks, and the real edges of a
+    normalized CFG reach every block.
+    """
+    order = []  # postorder, then reversed
+    seen = {entry}
+    stack = [(entry, iter(succ(entry)))]
+    while stack:
+        b, it = stack[-1]
+        for s in it:
+            if s not in seen:
+                seen.add(s)
+                stack.append((s, iter(succ(s))))
+                break
+        else:
+            stack.pop()
+            order.append(b)
+    order.reverse()
+    num = {b: i for i, b in enumerate(order)}
+    preds = [[] for _ in order]
+    for b in order:
         for s in succ(b):
-            preds[s].append(b)
-    dom = {b: set(block_ids) for b in block_ids}
-    dom[entry] = {entry}
+            preds[num[s]].append(num[b])
+
+    idom = [-1] * len(order)  # -1: not yet known
+    idom[0] = 0
     changed = True
     while changed:
         changed = False
-        for b in block_ids:
-            if b == entry:
-                continue
-            ps = [dom[p] for p in preds[b]]
-            new = {b} | (set.intersection(*ps) if ps else set())
-            if new != dom[b]:
-                dom[b] = new
+        for i in range(1, len(order)):
+            new = -1
+            for p in preds[i]:
+                if idom[p] < 0:
+                    continue
+                if new < 0:
+                    new = p
+                    continue
+                while p != new:  # walk the deeper finger up until they meet
+                    while p > new:
+                        p = idom[p]
+                    while new > p:
+                        new = idom[new]
+            if idom[i] != new:
+                idom[i] = new
                 changed = True
-    return dom
+
+    sets = [{entry}]
+    for i in range(1, len(order)):
+        d = set(sets[idom[i]])
+        d.add(order[i])
+        sets.append(d)
+    return {b: sets[num[b]] for b in block_ids}
 
 
 def validate(func):

@@ -195,3 +195,51 @@ def test_compile_deterministic(capsys):
                 assert code == 0
                 runs.append(out)
             assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["compile", "ARG", "--arch", "bogus"], "invalid choice: 'bogus'"),
+        (["check", "ARG", "--arch", "armv7"], "required: plan"),
+        (["compile"], "required: file"),
+        ([], "required: cmd"),
+    ],
+)
+def test_usage_errors_exit_input(capsys, argv, message):
+    argv = [str(corpus_path("mp")) if a == "ARG" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rmcfence") and message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compile", "--help"]])
+def test_help_exits_ok(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rmcfence")
+
+
+def test_no_state_leaks_between_calls(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; options and cost files are not
+    src = str(corpus_path("widget"))
+    costs = tmp_path / "costs.txt"
+    costs.write_text("dmb = 100\n")
+    plain = run(capsys, "compile", src, "--arch", "armv7")
+    flagged = run(
+        capsys, "compile", src, "--arch", "armv7", "--no-data-deps", "--loop-factor", "2",
+        "--costs", str(costs),
+    )
+    assert flagged[0] == 0 and flagged[1] != plain[1]
+    assert run(capsys, "compile", src, "--arch", "armv7") == plain
+
+    for cost in (200, 300):
+        env_costs = tmp_path / f"env{cost}.txt"
+        env_costs.write_text(f"dmb = {cost}\n")
+        monkeypatch.setenv("RMCFENCE_COSTS", str(env_costs))
+        code, out, _ = run(capsys, "compile", str(corpus_path("overlap")), "--arch", "armv7")
+        (plan,) = json.loads(out)
+        assert code == 0 and plan["cost"] == cost

@@ -114,6 +114,17 @@ def test_acyclic_definitions_stay_grounded():
     assert encode.satisfies(problem, frozenset([v]))
 
 
+def test_components_without_references_are_one_sorted_run():
+    v = encode.OutputVar("barrier", ("k", "a", "b"))
+    defs = {"z": ("out", v), "b": encode.TRUE, "m": ("and", (("out", v), encode.TRUE))}
+    problem = encode.Problem(
+        function="t", arch="none", outputs=[v], defs=defs, asserts=[], cost_terms=[]
+    )
+    # what the SCC pass yields on an edgeless graph: singletons by name
+    assert [sorted(c) for c in graph.sccs(defs, [])] == [["b"], ["m"], ["z"]]
+    assert encode._components(problem) == [([(n, defs[n]) for n in ("b", "m", "z")], [])]
+
+
 def test_self_cycles_force_extra_cuts_when_unscoped():
     scoped = analyze_corpus("widget", "armv7")
     unscoped = analyze_corpus("widget_unscoped", "armv7")

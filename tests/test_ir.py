@@ -1,5 +1,12 @@
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
 from rmcfence import ir
 from conftest import CORPUS_NAMES, load_corpus, parse_valid
 
@@ -71,6 +78,91 @@ def test_noop_requires_label():
 def test_missing_terminator():
     with pytest.raises(ir.ParseError, match="missing a terminator"):
         ir.parse("func f { block e: write @x 1 block g: ret }")
+
+
+# Recorded from the parser before tokens carried offsets instead of
+# line and column: the text of each diagnostic must not change.
+DIAGNOSTICS = [
+    ('$func f { block e: ret }', "1:1: unexpected character '$'"),
+    ('func f {\n$ block e: ret }', "2:1: unexpected character '$'"),
+    ('func f {\r\n  block e:\r\n$ ret }', "3:1: unexpected character '$'"),
+    ('func f {\r\n\tblock e: ret\r\n}\r\n\t!', "4:2: unexpected character '!'"),
+    ('func f {\n\t\t$block e: ret }', "2:3: unexpected character '$'"),
+    ('# comment $ inside is fine\nfunc f { block e: ret } ~', "2:25: unexpected character '~'"),
+    (';; comment\n!func f { block e: ret }', "2:1: unexpected character '!'"),
+    ('func f { block e: ret } # trailing comment\n$', "2:1: unexpected character '$'"),
+    ('func f { block e: ret }\n\n\t$', "3:2: unexpected character '$'"),
+    ('func f { block e: ret } $', "1:25: unexpected character '$'"),
+    ('func f { block e: write @x 1 label a; ret }', "1:37: expected instruction, found ';'"),
+    ('func f { block e: ret', "1:22: expected '}', found 'end of input'"),
+    ('func f { block e: ret }\nfunc f { block e: ret }', "2:6: duplicate function 'f'"),
+    ('func f {\n  block e:\n    write @x %v\n    ret\n}', '3:14: undefined value %v'),
+    ('func f {\n  block e:\n    jmp nowhere\n}', "3:9: undefined block 'nowhere'"),
+    ('func f { block e: %v = read @x\n %v = read @y\n ret }', '2:2: duplicate definition of %v'),
+    ('func f { block e: ret\n block e: ret }', "2:8: duplicate block 'e'"),
+    ('func f { block e: write @x 1 label pre\n ret }', "1:36: tag 'pre' is reserved"),
+    (
+        'func f { edge vo post -> a; block e: write @x 1 label a ret }',
+        "1:18: reserved tag 'post' may only appear as a destination",
+    ),
+    (
+        'func f { edge vo a -> pre; block e: write @x 1 label a ret }',
+        "1:23: reserved tag 'pre' may only appear as a source",
+    ),
+    (
+        'func f { edge vo pre -> post; block e: ret }',
+        "1:18: 'pre' and 'post' may not appear in the same declaration",
+    ),
+    (
+        'func f { edge vo here(b) pre -> a; block e: write @x 1 label a\n bind b ret }',
+        '1:26: pre/post declarations may not carry a binding point',
+    ),
+    ('func f { edge zz a -> b; block e: ret }', "1:15: expected edge kind vo/xo/pu, found 'zz'"),
+    ('func f { block e: noop\n ret }', '2:2: noop requires a label'),
+    (
+        'func f {\n  block e:\n    write @x 1\n  block g: ret\n}',
+        "4:3: block 'e' is missing a terminator",
+    ),
+    (
+        'func f { block e: %v = rmw @x swap 1 ret }',
+        "1:31: expected rmw operator xchg/add, found 'swap'",
+    ),
+    ('func f { block e: %v = frob @x ret }', "1:24: expected read/rmw/op/phi, found 'frob'"),
+    ('func f { block e: frob ret }', "1:19: expected instruction, found 'frob'"),
+    ('func f { block e: write # x\n 1 ret }', '2:2: expected location (@name or *%value)'),
+    (
+        'func f { block e: br 1 ? a b\n block a: ret block b: ret }',
+        "1:28: expected ':', found 'b'",
+    ),
+    (
+        'func f { edge vo here(nope) a -> b; block e: write @x 1 label a write @y 1 label b ret }',
+        "1:1: undefined bind point 'nope' in function 'f'",
+    ),
+    ('func f { block e: bind q\n bind q\n ret }', "2:7: duplicate bind id 'q'"),
+    ('func f { block e: %p = phi [x: 1] ret }', "1:29: undefined block 'x'"),
+    ('func f { block e: %o = op add(1 2) ret }', "1:33: expected ')', found '2'"),
+    ('func 3 { block e: ret }', "1:6: expected function name, found '3'"),
+    ('func f { }', "1:10: expected 'block'"),
+    ('func f { block e: %v = read', '1:28: expected location (@name or *%value)'),
+    ('func f {\r\n block e:\r\n  ret\r\n', "4:1: expected '}', found 'end of input'"),
+    (
+        'func f { block e: ret }\n# a comment\nfunc',
+        "3:5: expected function name, found 'end of input'",
+    ),
+    ('block', "1:1: expected 'func', found 'block'"),
+    ('func f { block e: write @x -> ret }', "1:28: expected operand, found '->'"),
+    (
+        'func f { block e: ret }\r\nfunc g {\r\n  block e:\r\n    write *%q 1\r\n    ret\r\n}',
+        '4:12: undefined value %q',
+    ),
+]
+
+
+@pytest.mark.parametrize("text,expected", DIAGNOSTICS)
+def test_parse_diagnostics_golden(text, expected):
+    with pytest.raises(ir.ParseError) as exc:
+        ir.parse(text)
+    assert [str(d) for d in exc.value.diagnostics] == [expected]
 
 
 def test_comments_both_styles():
@@ -193,3 +285,65 @@ def test_dominators_diamond():
     )
     assert dom["j"] == {"e", "j"}
     assert dom["a"] == {"e", "a"}
+
+
+def naive_dominators(block_ids, entry, succ):
+    """Reference: the set-intersection fixpoint over every block."""
+    preds = {b: [] for b in block_ids}
+    for b in block_ids:
+        for s in succ(b):
+            preds[s].append(b)
+    dom = {b: set(block_ids) for b in block_ids}
+    dom[entry] = {entry}
+    changed = True
+    while changed:
+        changed = False
+        for b in block_ids:
+            if b == entry:
+                continue
+            ps = [dom[p] for p in preds[b]]
+            new = {b} | (set.intersection(*ps) if ps else set())
+            if new != dom[b]:
+                dom[b] = new
+                changed = True
+    return dom
+
+
+def test_dominators_irreducible_loop():
+    # e -> a, e -> b, a <-> b: a two-entry loop, neither side dominates the other
+    succ = {"e": ["a", "b"], "a": ["b", "x"], "b": ["a"], "x": []}
+    dom = ir.compute_dominators(list(succ), "e", succ.__getitem__)
+    assert dom == naive_dominators(list(succ), "e", succ.__getitem__)
+    assert dom["a"] == {"e", "a"} and dom["x"] == {"e", "a", "x"}
+
+
+if HAVE_HYPOTHESIS:
+
+    @st.composite
+    def reachable_graphs(draw):
+        """(block ids, entry, successor lists): every block is reachable from
+        the entry through a random tree; extra edges add loops (reducible or
+        not), self-loops, edges into the entry and duplicates. Block ids are
+        shuffled so that id order says nothing about depth-first order."""
+        n = draw(st.integers(1, 12))
+        ids = draw(st.permutations(range(n)))
+        succ = {i: [] for i in ids}
+        for i in range(1, n):
+            succ[ids[draw(st.integers(0, i - 1))]].append(ids[i])
+        ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        extra = draw(st.lists(ends, max_size=2 * n))
+        for u, v in extra:
+            succ[ids[u]].append(ids[v])
+        rnd = draw(st.randoms(use_true_random=False))
+        for i in ids:
+            rnd.shuffle(succ[i])
+        block_ids = draw(st.permutations(ids))
+        return block_ids, ids[0], succ
+
+    @given(reachable_graphs())
+    @settings(max_examples=500, deadline=None)
+    def test_dominators_equal_naive_fixpoint(graph):
+        block_ids, entry, succ = graph
+        assert ir.compute_dominators(block_ids, entry, succ.__getitem__) == naive_dominators(
+            block_ids, entry, succ.__getitem__
+        )
