@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import Action, Deref, Phi, PureOp, compute_dominators, successors
+from .ir import Action, Branch, Phi, PureOp, compute_dominators
 
 
 @dataclass(frozen=True)
@@ -47,30 +47,22 @@ class DepAnalysis:
         region = self._region_memo.get(key)
         if region is None:
             head, tail = path[0], path[-1]
-            fwd = self._reach_from(head, bind)
-            bwd = self._reach_to(tail, bind)
+            fwd = self._reach(head, self._succ_real, bind)
+            bwd = self._reach(tail, self._pred_real, bind)
             region = AdmissibleRegion(path, bind, frozenset((fwd & bwd) | set(path)))
             self._region_memo[key] = region
         return region
 
-    def _reach_from(self, start, avoid):
+    def _reach(self, start, nbr, avoid):
+        """Blocks reachable from `start` through the neighbour map `nbr`
+        without entering `avoid`."""
         out, stack = set(), [start]
         while stack:
             b = stack.pop()
             if b in out or b == avoid:
                 continue
             out.add(b)
-            stack.extend(self._succ_real[b])
-        return out
-
-    def _reach_to(self, goal, avoid):
-        out, stack = set(), [goal]
-        while stack:
-            b = stack.pop()
-            if b in out or b == avoid:
-                continue
-            out.add(b)
-            stack.extend(self._pred_real[b])
+            stack.extend(nbr[b])
         return out
 
     # -- value dependence ---------------------------------------------------
@@ -145,8 +137,6 @@ class DepAnalysis:
         return result
 
     def _can_ctrl_existing(self, src_action, edge):
-        from .ir import Branch
-
         term = self.cfg.blocks[edge[0]].term
         if not isinstance(term, Branch):
             return False

@@ -15,7 +15,16 @@ s->t walk get a definition, and edges out of t are left out, so every
 barrier variable sits on an edge of some s->t walk. An xo edge is cut
 path by path (`xcut_path`), because a data dependency serves a path,
 not a walk; its self-ordering requirement makes those definitions
-cyclic too.
+cyclic too. A path is cut by an exec-capable barrier, and the capability
+hierarchy of `arch.BarrierKind` (push => vis => exec) makes every
+visibility barrier one, so the vo half of the xo rule adds only the
+target's release.
+
+Only what a plan can change is encoded. On a profile where visibility
+and execution order are free (x86), every vo, xo and boundary
+constraint is the constant True: `build` emits no assertion or
+definition for them, and only pu is encoded. Edge weights are computed
+only when there is an output to cost.
 
 Evaluation runs on a form compiled once per problem (`Compiled`, cached
 on the `Problem`): an assignment is an int bitmask over the positions in
@@ -33,7 +42,7 @@ OutputVars and turn them into a mask; the solver works on masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import graph
 
@@ -84,7 +93,6 @@ class Problem:
     defs: dict  # name -> expr
     asserts: list  # (label, expr)
     cost_terms: list  # (weight, frozenset of OutputVars)
-    weights: dict = field(default_factory=dict)  # (src, dst) -> w(e)
     _compiled: "Compiled | None" = None  # built on first evaluation
 
     def objective(self, true_vars):
@@ -136,7 +144,6 @@ class Encoder:
         self.profile = profile
         self.costs = costs
         self.opt = options or EncodeOptions()
-        self.weights = graph.edge_weights(cfg, costs.loop_factor)
         self.defs = {}
         self.asserts = []
         self.vars = set()
@@ -200,19 +207,6 @@ class Encoder:
 
     # -- per-kind encodings -------------------------------------------------
 
-    def _vcut_path(self, path, t_action):
-        name = f"vcut_path({self._pid(path)},{t_action.id})"
-        if name not in self.defs:
-            edges_ = list(zip(path, path[1:]))
-            body = _or(
-                [
-                    self._barriers_on(edges_, self.profile.kinds_cutting("cuts_vis")),
-                    self._release_term(t_action),
-                ]
-            )
-            self._define(name, body)
-        return ("def", name)
-
     def _live_blocks(self, bind, sblk, tblk):
         """Blocks on some sblk->tblk walk that avoids `bind`: reachable
         from sblk without leaving tblk, and reaching tblk without passing
@@ -273,15 +267,12 @@ class Encoder:
     def _vcut(self, edge):
         name = f"vcut({self._bstr(edge.bind)},{edge.src},{edge.dst})"
         if name not in self.defs:
-            if self.profile.vis_exec_free:
-                body = TRUE
-            else:
-                body = _or(
-                    [
-                        self._walk_cut(name, "cuts_vis", edge.bind, edge.src, edge.dst),
-                        self._release_term(self.cfg.actions[edge.dst]),
-                    ]
-                )
+            body = _or(
+                [
+                    self._walk_cut(name, "cuts_vis", edge.bind, edge.src, edge.dst),
+                    self._release_term(self.cfg.actions[edge.dst]),
+                ]
+            )
             self._define(name, body)
         return ("def", name)
 
@@ -329,8 +320,6 @@ class Encoder:
         name = f"xcut_path({self._bstr(bind)},{s_action.id},{t_action.id},{self._pid(path)})"
         if name in self.defs:
             return ("def", name)
-        if self.profile.vis_exec_free:
-            return self._define(name, TRUE)
         edges_ = list(zip(path, path[1:]))
         exec_kinds = list(self.profile.kinds_cutting("cuts_exec_any"))
         if s_action.reads_value:
@@ -339,8 +328,10 @@ class Encoder:
                 for k in self.profile.kinds_cutting("cuts_exec_from_read")
                 if not k.cuts_exec_any
             ]
+        # every vis-capable kind is exec-capable, so the barrier half of
+        # the vo rule is already among exec_kinds
         disj = [
-            self._vcut_path(path, t_action),
+            self._release_term(t_action),
             self._barriers_on(edges_, exec_kinds),
             self._acquire_term(s_action),
         ]
@@ -373,8 +364,6 @@ class Encoder:
     def _boundary_expr(self, bc):
         action = self.cfg.actions[bc.action]
         blk = self.cfg.action_block[bc.action]
-        if self.profile.vis_exec_free:
-            return TRUE
         if bc.direction == "pre":
             edges_ = [(s, d) for s, d, _ in self.cfg.in_edges(blk)]
         else:
@@ -400,7 +389,12 @@ class Encoder:
     # -- driver -------------------------------------------------------------
 
     def build(self):
+        # Where visibility and execution order are free, only pu is encoded:
+        # every other constraint is the constant True.
+        free = self.profile.vis_exec_free
         for edge in self.edges:
+            if free and edge.kind != "pu":
+                continue
             label = f"{edge.kind} {edge.src}->{edge.dst}" + (
                 f" @{edge.bind}" if edge.bind else ""
             )
@@ -410,7 +404,7 @@ class Encoder:
                 self.asserts.append((label, self._vcut(edge)))
             else:
                 self.asserts.append((label, self._xcut(edge.bind, edge.src, edge.dst)))
-        for bc in self.boundaries:
+        for bc in () if free else self.boundaries:
             label = f"{bc.direction}({bc.kind}) {bc.action}"
             self.asserts.append((label, self._boundary_expr(bc)))
         return Problem(
@@ -420,23 +414,25 @@ class Encoder:
             defs=self.defs,
             asserts=self.asserts,
             cost_terms=self._cost_terms(),
-            weights=dict(self.weights),
         )
 
     def _cost_terms(self):
+        if not self.vars:
+            return []
+        weights = graph.edge_weights(self.cfg, self.costs.loop_factor)
         terms = []
         in_w = {}
         for s, d, _ in self.cfg.edges:
-            in_w[d] = max(in_w.get(d, 0), self.weights[(s, d)])
+            in_w[d] = max(in_w.get(d, 0), weights[(s, d)])
         data_groups = {}
         for v in sorted(self.vars):
             if v.kind == "barrier":
                 k, s, d = v.detail
-                terms.append((self.weights[(s, d)] * self.costs.kind(k), frozenset([v])))
+                terms.append((weights[(s, d)] * self.costs.kind(k), frozenset([v])))
             elif v.kind == "use_ctrl":
                 _, s, d, mode = v.detail
                 cost = self.costs.dep("ctrl_existing" if mode == "existing" else "ctrl_synth")
-                terms.append((self.weights[(s, d)] * cost, frozenset([v])))
+                terms.append((weights[(s, d)] * cost, frozenset([v])))
             elif v.kind == "use_data":
                 b, s, t, _pid = v.detail
                 data_groups.setdefault((b, s, t), []).append(v)

@@ -23,34 +23,17 @@ def _back_edges(cfg):
     """Back edges over real edges: (u, v) with v dominating u.
 
     Falls back to SCC-based edge removal when the graph is irreducible
-    (dominance-based natural loops are undefined there).
-    Returns (back edge set, irreducible flag).
+    (dominance-based natural loops are undefined there): then the real
+    edges minus the dominance back edges still hold a cycle, which a
+    topological order cannot cover.
     """
     succ = cfg.real_succ()
     dom = compute_dominators(list(cfg.blocks), cfg.entry, lambda b: succ[b])
     back = {(u, v) for u in cfg.blocks for v in succ[u] if v in dom[u]}
-
-    def acyclic(edges_removed):
-        indeg = {b: 0 for b in cfg.blocks}
-        for u in cfg.blocks:
-            for v in succ[u]:
-                if (u, v) not in edges_removed:
-                    indeg[v] += 1
-        work = [b for b in cfg.blocks if indeg[b] == 0]
-        n = 0
-        while work:
-            b = work.pop()
-            n += 1
-            for v in succ[b]:
-                if (b, v) not in edges_removed:
-                    indeg[v] -= 1
-                    if indeg[v] == 0:
-                        work.append(v)
-        return n == len(cfg.blocks)
-
-    if acyclic(back):
-        return back, False
-    return _scc_back_edges(cfg), True
+    rest = {u: [v for v in succ[u] if (u, v) not in back] for u in cfg.blocks}
+    if len(_topo(cfg.blocks, rest)) == len(cfg.blocks):
+        return back
+    return _scc_back_edges(cfg)
 
 
 def _scc_back_edges(cfg):
@@ -143,7 +126,7 @@ def _loop_bodies(cfg, back):
 
 def loop_depths(cfg):
     """Map (src, dst) -> number of enclosing loops. Pseudo edges get 0."""
-    back, _ = _back_edges(cfg)
+    back = _back_edges(cfg)
     return _depths(cfg, back)
 
 
@@ -173,7 +156,7 @@ def weights_and_depths(cfg, loop_factor=4):
     """(`edge_weights`, `loop_depths`) of `cfg` from one back-edge pass."""
     if loop_factor < 1:
         raise ValueError("loop_factor must be >= 1")
-    back, _ = _back_edges(cfg)
+    back = _back_edges(cfg)
     succ = {b: [] for b in cfg.blocks}
     for s, d, pseudo in cfg.edges:
         if not pseudo and (s, d) not in back:

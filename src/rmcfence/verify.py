@@ -116,8 +116,6 @@ class PlanChecker:
         return any(pred(self.profile.kind(k)) for k in self._edge_kinds(e))
 
     def vo_released(self, t_action):
-        if self.profile.vis_exec_free:
-            return True
         return t_action.is_write and ("release", t_action.id) in self.modes
 
     def vo_path_cut(self, path, t_action):
@@ -131,8 +129,6 @@ class PlanChecker:
         return _uncut_path(self._succ, a, b, excluded, lambda e: self._has(e, cap))
 
     def xo_path_cut(self, bind, s_action, t_action, path, assume_self=False):
-        if self.profile.vis_exec_free:
-            return True
         if self.vo_path_cut(path, t_action):
             return True
         reads = s_action.reads_value
@@ -235,8 +231,12 @@ def _fmt_path(path):
 def check_plan(cfg, edges, boundaries, profile, plan, path_cap=graph.DEFAULT_MAX_PATHS):
     """Violation strings for every constraint the plan fails to enforce."""
     ck = PlanChecker(cfg, profile, plan, path_cap)
+    # Where visibility and execution order are free, only pu can fail.
+    free = profile.vis_exec_free
     out = []
     for edge in edges:
+        if free and edge.kind != "pu":
+            continue
         s_action = cfg.actions[edge.src]
         t_action = cfg.actions[edge.dst]
         sblk = cfg.action_block[edge.src]
@@ -256,11 +256,9 @@ def check_plan(cfg, edges, boundaries, profile, plan, path_cap=graph.DEFAULT_MAX
         scope = f" @{edge.bind}" if edge.bind else ""
         for path in filter(None, uncut):
             out.append(f"UNCUT {edge.kind} {edge.src}->{edge.dst}{scope} via {_fmt_path(path)}")
-    for bc in boundaries:
+    for bc in () if free else boundaries:
         action = cfg.actions[bc.action]
         blk = cfg.action_block[bc.action]
-        if profile.vis_exec_free:
-            continue
         sides = cfg.in_edges(blk) if bc.direction == "pre" else cfg.out_edges(blk)
         for s, d, _ in sides:
             e = (s, d)

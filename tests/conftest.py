@@ -53,10 +53,10 @@ def analyze_corpus(name, arch_name="armv7", **opt_kw):
     return [analyze(f, arch_name, **opt_kw) for f in parse_valid(load_corpus(name))]
 
 
-def span_source(k):
-    """One `vo first -> last` across k if/else diamonds: 2^k simple paths,
-    no dependencies."""
-    lines = [f"func span{k} {{", "  edge vo first -> last;", "  block entry:",
+def span_source(k, kind="vo"):
+    """One `kind first -> last` edge across k if/else diamonds: 2^k simple
+    paths, no dependencies."""
+    lines = [f"func span{k} {{", f"  edge {kind} first -> last;", "  block entry:",
              "    write @x 1 label first"]
     for i in range(k):
         lines += [f"    %c{i} = op cond{i}()", f"    br %c{i} ? t{i} : e{i}",
@@ -86,12 +86,13 @@ def walk_source(n):
     return "\n".join(lines) + "\n"
 
 
-def random_cut_source(rng):
+def random_cut_source(rng, kinds=("pu", "vo")):
     """Blocks b1..bn each hold one labelled write. Each bi (i < n) jumps
     or branches to b(i+1), any other target is random, and bn may also
     return, so loops, self-loops and irreducible regions all occur. An
-    optional `bind top` sits in a random block; the pu/vo edges pick
-    random labels, the same one at both ends included."""
+    optional `bind top` sits in a random block; the edges, of a kind
+    drawn from `kinds`, pick random labels, the same one at both ends
+    included."""
     n = rng.randint(1, 6)
     instrs = {0: []}
     terms = {0: "jmp b1"}
@@ -112,7 +113,7 @@ def random_cut_source(rng):
     lines = ["func f {"]
     for _ in range(rng.randint(1, 3)):
         scope = "here(top) " if bind_at is not None and rng.random() < 0.7 else ""
-        kind = rng.choice(["pu", "vo"])
+        kind = rng.choice(kinds)
         lines.append(f"edge {kind} {scope}l{rng.randint(1, n)} -> l{rng.randint(1, n)};")
     for i in instrs:
         lines += [f"block b{i}:", *instrs[i], terms[i]]

@@ -79,18 +79,26 @@ def test_path_explosion_exit_code(capsys):
     assert "max-paths" in err
 
 
-@pytest.mark.parametrize("max_paths", [None, "1"])
-def test_many_paths_without_dependencies_compile(tmp_path, capsys, max_paths):
-    # 2^13 paths, more than the default cap, but a vo is a reachability cut
+@pytest.mark.parametrize(
+    "kind,arch_name,max_paths",
+    [
+        pytest.param("vo", "armv7", None, id="None"),
+        pytest.param("vo", "armv7", "1", id="1"),
+        pytest.param("xo", "x86", None, id="xo-x86"),
+    ],
+)
+def test_many_paths_without_dependencies_compile(tmp_path, capsys, kind, arch_name, max_paths):
+    # 2^13 paths, more than the default cap, but a vo is a reachability cut,
+    # and x86 orders execution for free, so its xo is no constraint at all
     src = tmp_path / "span13.rmcir"
-    src.write_text(span_source(13))
+    src.write_text(span_source(13, kind))
     dest = tmp_path / "plan.json"
     extra = ["--max-paths", max_paths] if max_paths else []
-    code, _, err = run(capsys, "compile", str(src), "--arch", "armv7", "--out", str(dest), *extra)
+    code, _, err = run(capsys, "compile", str(src), "--arch", arch_name, "--out", str(dest), *extra)
     assert code == 0, err
-    code, out, _ = run(capsys, "check", str(src), str(dest), "--arch", "armv7", *extra)
+    code, out, _ = run(capsys, "check", str(src), str(dest), "--arch", arch_name, *extra)
     assert code == 0 and out.strip() == "OK"
-    code, out, _ = run(capsys, "oracle", str(src), "--arch", "armv7", *extra)
+    code, out, _ = run(capsys, "oracle", str(src), "--arch", arch_name, *extra)
     assert code == 0 and "MISMATCH" not in out
 
 

@@ -52,6 +52,15 @@ def test_x86_produces_no_variables_without_pushes():
             assert encode.satisfies(a.problem, frozenset())
 
 
+def test_no_edge_weights_without_outputs(monkeypatch):
+    def unwanted(*args, **kwargs):
+        raise AssertionError("edge weights computed with no output to cost")
+
+    monkeypatch.setattr(graph, "edge_weights", unwanted)
+    for a in analyze_corpus("mp", "x86"):
+        assert a.problem.outputs == [] and a.problem.cost_terms == []
+
+
 def test_objective_costs_positive_and_grouped():
     for name, a in _all_problems("armv8"):
         covered = set()
@@ -236,13 +245,15 @@ def test_def_values_equal_naive_greatest_fixpoint():
 
 def _per_path_cut(a, edge, true_vars):
     """Reference: the constraint holds when every simple path carries a
-    barrier of the right capability (or, for vo, the target releases)."""
-    if edge.kind == "vo":
+    barrier of the right capability (or, for vo and xo, the target
+    releases). The sources are writes, so an xo path needs a barrier that
+    orders execution after any action."""
+    if edge.kind != "pu":
         if a.profile.vis_exec_free:
             return True
         if "release" in a.profile.modes and encode.OutputVar("release", (edge.dst,)) in true_vars:
             return True
-    cap = "cuts_push" if edge.kind == "pu" else "cuts_vis"
+    cap = {"pu": "cuts_push", "vo": "cuts_vis", "xo": "cuts_exec_any"}[edge.kind]
     kinds = [k.id for k in a.profile.kinds_cutting(cap)]
     paths = graph.simple_paths(
         a.cfg, a.cfg.action_block[edge.src], a.cfg.action_block[edge.dst],
@@ -264,7 +275,7 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=300, deadline=None)
     def test_reachability_cuts_equal_per_path_cuts(seed, arch_name):
         rng = random.Random(seed)
-        (func,) = parse_valid(random_cut_source(rng))
+        (func,) = parse_valid(random_cut_source(rng, kinds=("pu", "vo", "xo")))
         a = analyze(func, arch_name)
         universe = [
             encode.OutputVar("barrier", (k.id, u, v))
