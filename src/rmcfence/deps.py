@@ -9,16 +9,7 @@ the invocation and cannot carry an SSA value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ir import Action, Branch, Phi, PureOp, compute_dominators
-
-
-@dataclass(frozen=True)
-class AdmissibleRegion:
-    path: tuple
-    bind: "str | None"
-    blocks: frozenset
 
 
 class DepAnalysis:
@@ -32,8 +23,6 @@ class DepAnalysis:
                 if d:
                     self.defs[d] = ins
                     self.def_block[d] = bid
-        self._succ_real = cfg.real_succ()
-        self._pred_real = cfg.real_pred()
         self._dom = None
         self._region_memo = {}
         self._depends_memo = {}
@@ -43,13 +32,14 @@ class DepAnalysis:
     # -- regions ------------------------------------------------------------
 
     def admissible_region(self, path, bind=None):
+        """The frozenset of blocks a detour from `path` may visit."""
         key = (path, bind)
         region = self._region_memo.get(key)
         if region is None:
             head, tail = path[0], path[-1]
-            fwd = self._reach(head, self._succ_real, bind)
-            bwd = self._reach(tail, self._pred_real, bind)
-            region = AdmissibleRegion(path, bind, frozenset((fwd & bwd) | set(path)))
+            fwd = self._reach(head, self.cfg.real_succ, bind)
+            bwd = self._reach(tail, self.cfg.real_pred, bind)
+            region = frozenset((fwd & bwd) | set(path))
             self._region_memo[key] = region
         return region
 
@@ -72,7 +62,7 @@ class DepAnalysis:
         execution? Greatest fixpoint, so loop-carried chains count."""
         if not isinstance(operand, str):
             return False
-        key = (src_action.id, region.blocks)
+        key = (src_action.id, region)
         dep = self._depends_memo.get(key)
         if dep is None:
             dep = {v: True for v in self.defs}
@@ -80,7 +70,7 @@ class DepAnalysis:
             while changed:
                 changed = False
                 for v, ins in self.defs.items():
-                    new = self._dep_step(src_action, ins, dep, region.blocks)
+                    new = self._dep_step(src_action, ins, dep, region)
                     if new != dep[v]:
                         dep[v] = new
                         changed = True
@@ -140,12 +130,11 @@ class DepAnalysis:
         term = self.cfg.blocks[edge[0]].term
         if not isinstance(term, Branch):
             return False
-        whole = AdmissibleRegion((), None, frozenset(self.cfg.blocks))
-        return self.value_depends(src_action, term.cond, whole)
+        return self.value_depends(src_action, term.cond, frozenset(self.cfg.blocks))
 
     def _strictly_dominated(self, block, by):
         if self._dom is None:
             self._dom = compute_dominators(
-                list(self.cfg.blocks), self.cfg.entry, lambda b: self._succ_real[b]
+                list(self.cfg.blocks), self.cfg.entry, lambda b: self.cfg.real_succ[b]
             )
         return block != by and by in self._dom[block]

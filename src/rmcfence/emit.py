@@ -61,7 +61,7 @@ class PlacementPlan:
 
 def edge_anchor(cfg, src, dst):
     """Where an edge barrier lands: (block, position)."""
-    if len(cfg.out_edges(src)) == 1:
+    if len(cfg.succ[src]) == 1:
         return src, "end"
     return dst, "begin"
 
@@ -136,9 +136,20 @@ def plans_to_json(plans):
 
 
 def plans_from_json(text):
+    """Plans from a JSON array of plan objects, or from one plan object.
+    A document of any other shape raises ValueError."""
     doc = json.loads(text)
     if isinstance(doc, dict):
         doc = [doc]
+    if not isinstance(doc, list):
+        raise ValueError("plan file must hold a plan object or an array of them")
+    for i, d in enumerate(doc):
+        if not isinstance(d, dict):
+            raise ValueError(f"plan {i} in the plan file is not an object")
+        for key in ("barriers", "ctrl_uses", "data_uses", "modes"):
+            items = d.get(key)
+            if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+                raise ValueError(f"plan {i} in the plan file: {key!r} is not a list of objects")
     return [plan_from_dict(d) for d in doc]
 
 
@@ -161,7 +172,7 @@ def _resolve_anchor(cfg, block, position):
                 idx += len(cfg.blocks[block].instrs)
             return orig, idx
         seen.add(block)
-        nxt = [d for s, d, p in cfg.out_edges(block) if not p]
+        nxt = cfg.real_succ[block]
         if not nxt or nxt[0] in seen:
             return cfg.block_origin[cfg.entry][0] or cfg.entry, 0
         block, position = nxt[0], "begin"

@@ -150,11 +150,6 @@ class Encoder:
         self._path_ids = {}
         self._building = set()
         self._paths_memo = {}
-        self._succ = {b: set() for b in cfg.blocks}
-        self._pred = {b: set() for b in cfg.blocks}
-        for u, v, _ in cfg.edges:
-            self._succ[u].add(v)
-            self._pred[v].add(u)
 
     # -- small helpers ------------------------------------------------------
 
@@ -224,7 +219,7 @@ class Encoder:
                         todo.append(y)
             return seen
 
-        return grow(sblk, tblk, self._succ) & grow(tblk, sblk, self._pred)
+        return grow(sblk, tblk, self.cfg.succ) & grow(tblk, sblk, self.cfg.pred)
 
     def _walk_cut(self, name, cap, bind, s, t):
         """Every s->t walk avoiding `bind` crosses a `cap` barrier.
@@ -244,7 +239,7 @@ class Encoder:
 
         def in_cut(v):
             conj = []
-            for u in sorted(self._pred[v]):
+            for u in sorted(set(self.cfg.pred[v])):
                 if u == sblk:
                     before = FALSE
                 elif u == tblk or u not in live:
@@ -321,13 +316,9 @@ class Encoder:
         if name in self.defs:
             return ("def", name)
         edges_ = list(zip(path, path[1:]))
-        exec_kinds = list(self.profile.kinds_cutting("cuts_exec_any"))
-        if s_action.reads_value:
-            exec_kinds += [
-                k
-                for k in self.profile.kinds_cutting("cuts_exec_from_read")
-                if not k.cuts_exec_any
-            ]
+        exec_kinds = self.profile.kinds_cutting(
+            "cuts_exec_from_read" if s_action.reads_value else "cuts_exec_any"
+        )
         # every vis-capable kind is exec-capable, so the barrier half of
         # the vo rule is already among exec_kinds
         disj = [
@@ -365,24 +356,20 @@ class Encoder:
         action = self.cfg.actions[bc.action]
         blk = self.cfg.action_block[bc.action]
         if bc.direction == "pre":
-            edges_ = [(s, d) for s, d, _ in self.cfg.in_edges(blk)]
+            edges_ = [(u, blk) for u in self.cfg.pred[blk]]
         else:
-            edges_ = [(s, d) for s, d, _ in self.cfg.out_edges(blk)]
+            edges_ = [(blk, v) for v in self.cfg.succ[blk]]
         conj = []
         for e in edges_:
             if bc.kind == "vo":
                 kinds = self.profile.kinds_cutting("cuts_vis")
                 extra = self._release_term(action) if bc.direction == "pre" else FALSE
             else:
-                kinds = list(self.profile.kinds_cutting("cuts_exec_any"))
-                extra = FALSE
-                if bc.direction == "post" and action.reads_value:
-                    kinds += [
-                        k
-                        for k in self.profile.kinds_cutting("cuts_exec_from_read")
-                        if not k.cuts_exec_any
-                    ]
-                    extra = self._acquire_term(action)
+                reads = bc.direction == "post" and action.reads_value
+                kinds = self.profile.kinds_cutting(
+                    "cuts_exec_from_read" if reads else "cuts_exec_any"
+                )
+                extra = self._acquire_term(action) if reads else FALSE
             conj.append(_or([self._barriers_on([e], kinds), extra]))
         return _and(conj)
 
@@ -470,9 +457,6 @@ def _components(problem):
         acc = set()
         _def_refs(expr, acc)
         refs[name] = sorted(acc)
-    if not any(refs.values()):
-        # no def refers to another: what `graph.sccs` gives for an edgeless graph
-        return [([(name, problem.defs[name]) for name in sorted(refs)], [])]
     steps, run = [], []
     for comp in graph.sccs(problem.defs, [(n, m) for n, ms in refs.items() for m in ms]):
         names = sorted(comp)

@@ -27,7 +27,7 @@ def _back_edges(cfg):
     edges minus the dominance back edges still hold a cycle, which a
     topological order cannot cover.
     """
-    succ = cfg.real_succ()
+    succ = cfg.real_succ
     dom = compute_dominators(list(cfg.blocks), cfg.entry, lambda b: succ[b])
     back = {(u, v) for u in cfg.blocks for v in succ[u] if v in dom[u]}
     rest = {u: [v for v in succ[u] if (u, v) not in back] for u in cfg.blocks}
@@ -38,7 +38,7 @@ def _back_edges(cfg):
 
 def _scc_back_edges(cfg):
     """Break each non-trivial SCC at its smallest-id node, recursively."""
-    succ = cfg.real_succ()
+    succ = cfg.real_succ
     removed = set()
 
     def strip(nodes, edges):
@@ -110,7 +110,7 @@ def sccs(nodes, edges):
 
 def _loop_bodies(cfg, back):
     """Natural-loop (or SCC-fallback) bodies, keyed by header block."""
-    pred = cfg.real_pred()
+    pred = cfg.real_pred
     bodies = {}
     for u, h in sorted(back):
         body = bodies.setdefault(h, {h})
@@ -217,11 +217,7 @@ def simple_paths(cfg, src, dst, excluded=None, cap=DEFAULT_MAX_PATHS):
     """
     if src == excluded or dst == excluded:
         return []
-    succ = {b: [] for b in cfg.blocks}
-    for s, d, _ in cfg.edges:
-        succ[s].append(d)
-    for b in succ:
-        succ[b] = sorted(set(succ[b]))
+    succ = {b: sorted(set(vs)) for b, vs in cfg.succ.items()}
 
     out = []
     path = [src]

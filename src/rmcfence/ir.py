@@ -10,7 +10,7 @@ breaks critical edges, and closes the CFG with exit->entry pseudo edges.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 # Operands are either SSA value ids (str, without the % sigil) or int literals.
@@ -700,33 +700,13 @@ class NormalizedCFG:
     action_block: dict  # action id -> norm block id
     bind_block: dict  # bind id -> norm block id
     actions: dict  # action id -> Action
-    block_origin: dict = field(default_factory=dict)  # norm block -> (orig block | None, index)
-
-    def real_succ(self):
-        out = {b: [] for b in self.blocks}
-        for s, d, pseudo in self.edges:
-            if not pseudo:
-                out[s].append(d)
-        return out
-
-    def real_pred(self):
-        out = {b: [] for b in self.blocks}
-        for s, d, pseudo in self.edges:
-            if not pseudo:
-                out[d].append(s)
-        return out
-
-    def succ_all(self):
-        out = {b: [] for b in self.blocks}
-        for s, d, _ in self.edges:
-            out[s].append(d)
-        return out
-
-    def in_edges(self, bid):
-        return [(s, d, p) for s, d, p in self.edges if d == bid]
-
-    def out_edges(self, bid):
-        return [(s, d, p) for s, d, p in self.edges if s == bid]
+    block_origin: dict  # norm block -> (orig block | None, index)
+    # Adjacency, built once: per block, in `edges` order, duplicates kept
+    # (`br %c ? a : a` leaves two identical edges).
+    succ: dict  # block -> successors over all edges
+    pred: dict  # block -> predecessors over all edges
+    real_succ: dict  # block -> successors over real (non-pseudo) edges
+    real_pred: dict  # block -> predecessors over real edges
 
 
 def _split_block(blk, is_entry):
@@ -818,6 +798,17 @@ def normalize(func):
         if isinstance(blk.term, Ret):
             edges.append((b, func.entry, True))
 
+    succ = {b: [] for b in blocks}
+    pred = {b: [] for b in blocks}
+    real_succ = {b: [] for b in blocks}
+    real_pred = {b: [] for b in blocks}
+    for s, d, pseudo in edges:
+        succ[s].append(d)
+        pred[d].append(s)
+        if not pseudo:
+            real_succ[s].append(d)
+            real_pred[d].append(s)
+
     action_block, bind_block, actions = {}, {}, {}
     for b, blk in blocks.items():
         for ins in blk.instrs:
@@ -836,4 +827,8 @@ def normalize(func):
         bind_block=bind_block,
         actions=actions,
         block_origin=block_origin,
+        succ=succ,
+        pred=pred,
+        real_succ=real_succ,
+        real_pred=real_pred,
     )

@@ -5,7 +5,10 @@ its own dependence walk, direct evaluation of the cut rules — so it
 shares no conclusions with the encoder beyond the input structures. A
 pu or vo edge is checked by a breadth-first search for a path with no
 strong-enough barrier, reported as the witness; an xo edge is checked
-path by path, because dependencies serve single paths. brute_min is the
+path by path, because dependencies serve single paths. A control
+dependency counts only where the code can carry it: an existing one
+at a branch on the source's value, a synthesized one at a block the
+source's block strictly dominates. brute_min is the
 exhaustive optimization oracle for small problems; greedy is the
 deliberately simple baseline the optimizer is measured against.
 """
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from . import graph
 from .arch import CostTable
 from .emit import BarrierPlacement, PlacementPlan, edge_anchor
-from .ir import Action, Branch, Phi, PureOp
+from .ir import Action, Branch, Phi, PureOp, compute_dominators
 
 
 class CapExceeded(Exception):
@@ -37,7 +40,7 @@ class PlanChecker:
         self.barriers = {}  # (src, dst) -> set of kind ids
         for b in plan.barriers:
             self.barriers.setdefault((b.src, b.dst), set()).add(b.kind)
-        self.ctrl_uses = {(u.source, u.src, u.dst) for u in plan.ctrl_uses}
+        self.ctrl_uses = {(u.source, u.src, u.dst, u.mode) for u in plan.ctrl_uses}
         self.data_uses = {(u.bind, u.source, u.target) for u in plan.data_uses}
         self.modes = {(m.mode, m.action) for m in plan.modes}
         self.defs = {}
@@ -45,9 +48,7 @@ class PlanChecker:
             for ins in blk.instrs:
                 if getattr(ins, "defines", None):
                     self.defs[ins.defines] = ins
-        self._succ = cfg.succ_all()
-        self._succ_real = cfg.real_succ()
-        self._pred_real = cfg.real_pred()
+        self._dom = None
         self._self_memo = {}
 
     # -- independent path walk (recursive; cycles when a == b) --
@@ -58,7 +59,7 @@ class PlanChecker:
         found = []
 
         def go(here, trail):
-            for nxt in self._succ[here]:
+            for nxt in self.cfg.succ[here]:
                 if nxt == excluded:
                     continue
                 if nxt == b:
@@ -93,8 +94,8 @@ class PlanChecker:
 
     def region_of(self, path, bind):
         grow = lambda start, nbr: self._grow(start, nbr, bind)
-        fwd = grow(path[0], self._succ_real)
-        bwd = grow(path[-1], self._pred_real)
+        fwd = grow(path[0], self.cfg.real_succ)
+        bwd = grow(path[-1], self.cfg.real_pred)
         return (fwd & bwd) | set(path)
 
     def _grow(self, start, nbr, avoid):
@@ -126,7 +127,7 @@ class PlanChecker:
     def uncut_path(self, a, b, excluded, cap):
         """A path a->b avoiding `excluded` with no barrier of capability
         `cap` on it, or None."""
-        return _uncut_path(self._succ, a, b, excluded, lambda e: self._has(e, cap))
+        return _uncut_path(self.cfg.succ, a, b, excluded, lambda e: self._has(e, cap))
 
     def xo_path_cut(self, bind, s_action, t_action, path, assume_self=False):
         if self.vo_path_cut(path, t_action):
@@ -141,9 +142,7 @@ class PlanChecker:
             return False
         if t_action.is_write:
             for e in zip(path, path[1:]):
-                if (s_action.id, e[0], e[1]) in self.ctrl_uses and self._branch_dep(
-                    s_action, e[0]
-                ):
+                if self._ctrl_dep(s_action, e):
                     if assume_self or self._self_ordered(bind, s_action, allow_ctrl=True):
                         return True
         key = (bind if bind is not None else "-", s_action.id, t_action.id)
@@ -152,11 +151,26 @@ class PlanChecker:
                 return True
         return False
 
-    def _branch_dep(self, s_action, block):
-        term = self.cfg.blocks[block].term
-        return isinstance(term, Branch) and self.depends(
-            s_action, term.cond, set(self.cfg.blocks)
-        )
+    def _ctrl_dep(self, s_action, e):
+        """Does the plan use a control dependency on s_action's value at
+        edge e that the code can carry? An existing use needs e's source
+        to branch on the value; a synthesized one needs s_action's block
+        to strictly dominate e's source, so a branch can be added there."""
+        key = (s_action.id, e[0], e[1])
+        if key + ("existing",) in self.ctrl_uses:
+            term = self.cfg.blocks[e[0]].term
+            if isinstance(term, Branch) and self.depends(
+                s_action, term.cond, set(self.cfg.blocks)
+            ):
+                return True
+        if key + ("synth",) in self.ctrl_uses:
+            if self._dom is None:
+                self._dom = compute_dominators(
+                    list(self.cfg.blocks), self.cfg.entry, lambda b: self.cfg.real_succ[b]
+                )
+            sblk = self.cfg.action_block[s_action.id]
+            return e[0] != sblk and sblk in self._dom[e[0]]
+        return False
 
     def _data_dep(self, bind, s_action, t_action, path):
         region = self.region_of(path, bind)
@@ -181,11 +195,7 @@ class PlanChecker:
         cycles = self.paths(sblk, sblk, excluded=bind)
         if allow_ctrl:
             ctrl_ok = all(
-                any(
-                    (s_action.id, e[0], e[1]) in self.ctrl_uses and self._branch_dep(s_action, e[0])
-                    for e in zip(p, p[1:])
-                )
-                for p in cycles
+                any(self._ctrl_dep(s_action, e) for e in zip(p, p[1:])) for p in cycles
             )
             if ctrl_ok:
                 self._self_memo[key] = True
@@ -224,6 +234,14 @@ def _uncut_path(succ, a, b, excluded, cut):
     return None
 
 
+def _boundary_edges(cfg, bc):
+    """The edges into (pre) or out of (post) a boundary's action block."""
+    blk = cfg.action_block[bc.action]
+    if bc.direction == "pre":
+        return [(u, blk) for u in cfg.pred[blk]]
+    return [(blk, v) for v in cfg.succ[blk]]
+
+
 def _fmt_path(path):
     return "[" + ",".join(path) + "]"
 
@@ -258,10 +276,7 @@ def check_plan(cfg, edges, boundaries, profile, plan, path_cap=graph.DEFAULT_MAX
             out.append(f"UNCUT {edge.kind} {edge.src}->{edge.dst}{scope} via {_fmt_path(path)}")
     for bc in () if free else boundaries:
         action = cfg.actions[bc.action]
-        blk = cfg.action_block[bc.action]
-        sides = cfg.in_edges(blk) if bc.direction == "pre" else cfg.out_edges(blk)
-        for s, d, _ in sides:
-            e = (s, d)
+        for e in _boundary_edges(cfg, bc):
             if bc.kind == "vo":
                 ok = ck._has(e, lambda k: k.cuts_vis) or (
                     bc.direction == "pre"
@@ -274,7 +289,7 @@ def check_plan(cfg, edges, boundaries, profile, plan, path_cap=graph.DEFAULT_MAX
                     e, lambda k: k.cuts_exec_any or (reads and k.cuts_exec_from_read)
                 ) or (reads and ("acquire", action.id) in ck.modes)
             if not ok:
-                out.append(f"UNCUT {bc.direction}({bc.kind}) {bc.action} at {s}->{d}")
+                out.append(f"UNCUT {bc.direction}({bc.kind}) {bc.action} at {e[0]}->{e[1]}")
     return out
 
 
@@ -311,8 +326,6 @@ def greedy(cfg, edges, boundaries, profile, costs):
     sufficient barrier kind on every in-edge of the destination block
     (in-/out-edges of the action block for boundaries). Never uses
     dependencies or modes."""
-    weights = graph.edge_weights(cfg, costs.loop_factor)
-    succ = cfg.succ_all()
     placed = {}  # (src, dst) -> set of kinds
 
     def capability(kind, s_action):
@@ -341,26 +354,25 @@ def greedy(cfg, edges, boundaries, profile, costs):
         cap_name = capability(edge.kind, s_action)
         sblk = cfg.action_block[edge.src]
         tblk = cfg.action_block[edge.dst]
-        if _uncut_path(succ, sblk, tblk, edge.bind, lambda e: cut(e, cap_name)) is None:
+        if _uncut_path(cfg.succ, sblk, tblk, edge.bind, lambda e: cut(e, cap_name)) is None:
             continue
         kind_id = cheapest(cap_name)
-        for s, d, _ in cfg.in_edges(tblk):
-            place((s, d), kind_id)
+        for s in cfg.pred[tblk]:
+            place((s, tblk), kind_id)
     for bc in boundaries:
         if profile.vis_exec_free:
             continue
         action = cfg.actions[bc.action]
-        blk = cfg.action_block[bc.action]
         cap_name = "cuts_vis" if bc.kind == "vo" else (
             "cuts_exec_from_read"
             if bc.direction == "post" and action.reads_value
             else "cuts_exec_any"
         )
-        sides = cfg.in_edges(blk) if bc.direction == "pre" else cfg.out_edges(blk)
-        for s, d, _ in sides:
-            if not cut((s, d), cap_name):
-                place((s, d), cheapest(cap_name))
+        for e in _boundary_edges(cfg, bc):
+            if not cut(e, cap_name):
+                place(e, cheapest(cap_name))
 
+    weights = graph.edge_weights(cfg, costs.loop_factor) if placed else {}
     plan = PlacementPlan(cfg.func.name, profile.name, 0)
     cost = 0
     for (s, d), kinds in sorted(placed.items()):

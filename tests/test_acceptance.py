@@ -46,7 +46,7 @@ def test_criterion_2_conditional_barrier_inside_the_arm():
     (a,) = analyze_corpus("cond", "armv7")
     _asg, plan = _solve(a)
     (b,) = plan.barriers
-    succ = a.cfg.real_succ()
+    succ = a.cfg.real_succ
     branch_block = next(bb for bb in a.cfg.blocks if len(succ[bb]) == 2)
     dom = ir.compute_dominators(list(a.cfg.blocks), a.cfg.entry, lambda x: succ[x])
     assert branch_block in dom[b.dst]

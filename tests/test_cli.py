@@ -251,3 +251,78 @@ def test_no_state_leaks_between_calls(tmp_path, capsys, monkeypatch):
         code, out, _ = run(capsys, "compile", str(corpus_path("overlap")), "--arch", "armv7")
         (plan,) = json.loads(out)
         assert code == 0 and plan["cost"] == cost
+
+
+DEP_FLAGS = {
+    "default": [],
+    "synth": ["--synth-deps"],
+    "no-ctrl": ["--no-ctrl-deps"],
+    "no-data": ["--no-data-deps"],
+}
+
+
+@pytest.mark.parametrize("flags", list(DEP_FLAGS), ids=list(DEP_FLAGS))
+@pytest.mark.parametrize("arch_name", ["armv7", "armv8", "power"])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_compiled_plan_passes_check(tmp_path, capsys, name, arch_name, flags):
+    src, dest = str(corpus_path(name)), tmp_path / "plan.json"
+    extra = DEP_FLAGS[flags]
+    code, _, err = run(capsys, "compile", src, "--arch", arch_name, "--out", str(dest), *extra)
+    assert code == 0, err
+    code, out, _ = run(capsys, "check", src, str(dest), "--arch", arch_name, *extra)
+    assert (code, out.strip()) == (0, "OK")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param([1], id="not-an-object"),
+        pytest.param({"function": "send", "arch": "armv7", "cost": 0, "barriers": None,
+                      "ctrl_uses": [], "data_uses": [], "modes": []}, id="null-barriers"),
+    ],
+)
+def test_malformed_plan_file_is_an_input_error(tmp_path, capsys, doc):
+    dest = tmp_path / "plan.json"
+    dest.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(corpus_path("mp")), str(dest), "--arch", "armv7")
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+DUPLICATE_TARGETS = """\
+func dup {
+  edge vo w1 -> w2;
+  block entry:
+    %c = op cond()
+    write @x 1 label w1
+    br %c ? a : a
+  block a:
+    write @y 1 label w2
+    ret
+}
+"""
+
+
+def test_branch_to_one_block_twice_keeps_both_edges(tmp_path, capsys):
+    # `br %c ? a : a` leaves two identical edges into its critical-edge
+    # splitter, so the source has two out-edges and the barrier lands at
+    # the splitter's start, not at the source's end
+    src = tmp_path / "dup.rmcir"
+    src.write_text(DUPLICATE_TARGETS)
+    code, out, _ = run(capsys, "compile", str(src), "--arch", "armv7")
+    assert code == 0
+    assert json.loads(out) == [
+        {
+            "arch": "armv7",
+            "barriers": [
+                {"anchor": "crit.entry.s1.a", "dst": "crit.entry.s1.a", "kind": "dmb",
+                 "position": "begin", "src": "entry.s1"}
+            ],
+            "cost": 65,
+            "ctrl_uses": [],
+            "data_uses": [],
+            "function": "dup",
+            "modes": [],
+            "status": "optimal",
+        }
+    ]

@@ -1,5 +1,5 @@
 from rmcfence import ir
-from rmcfence.deps import AdmissibleRegion, DepAnalysis
+from rmcfence.deps import DepAnalysis
 from rmcfence.emit import PlacementPlan
 from rmcfence.verify import PlanChecker
 from conftest import CORPUS_NAMES, load_corpus, parse_valid
@@ -149,8 +149,7 @@ def test_can_ctrl_synth_needs_strict_domination():
 
 
 def _doms(cfg):
-    succ = cfg.real_succ()
-    return ir.compute_dominators(list(cfg.blocks), cfg.entry, lambda b: succ[b])
+    return ir.compute_dominators(list(cfg.blocks), cfg.entry, lambda b: cfg.real_succ[b])
 
 
 def test_value_depends_agrees_with_independent_walk():
@@ -161,12 +160,11 @@ def test_value_depends_agrees_with_independent_walk():
             cfg = ir.normalize(f)
             deps = DepAnalysis(cfg)
             checker = PlanChecker(cfg, None, PlacementPlan(f.name, "none", 0))
-            region_blocks = frozenset(cfg.blocks)
-            whole = AdmissibleRegion((), None, region_blocks)
+            whole = frozenset(cfg.blocks)
             for action in cfg.actions.values():
                 if not action.reads_value:
                     continue
                 for value in list(checker.defs):
                     a = deps.value_depends(action, value, whole)
-                    b = checker.depends(action, value, set(region_blocks))
+                    b = checker.depends(action, value, set(whole))
                     assert a == b, (name, f.name, action.id, value)

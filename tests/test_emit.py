@@ -39,10 +39,10 @@ def test_edge_anchor_realization():
             for b in plan.barriers:
                 if b.position == "end":
                     assert b.anchor == b.src
-                    assert len(a.cfg.out_edges(b.src)) == 1
+                    assert len(a.cfg.succ[b.src]) == 1
                 else:
                     assert b.anchor == b.dst
-                    assert len(a.cfg.out_edges(b.src)) > 1
+                    assert len(a.cfg.succ[b.src]) > 1
 
 
 def test_annotate_round_trips_through_parser():

@@ -10,7 +10,10 @@ from conftest import load_corpus, parse_valid
 
 def stub_cfg(block_ids, edges):
     """Minimal object with the fields simple_paths needs."""
-    return SimpleNamespace(blocks={b: None for b in block_ids}, edges=edges)
+    succ = {b: [] for b in block_ids}
+    for s, d, _ in edges:
+        succ[s].append(d)
+    return SimpleNamespace(succ=succ)
 
 
 def brute_paths(block_ids, edges, src, dst, excluded):
@@ -80,7 +83,7 @@ def test_cond_weights_favor_the_arm():
     cfg = _cfg("cond", "cond")
     w = graph.edge_weights(cfg)
     # Both entry->exit routes pass the pre-branch edges, only one passes hot.
-    branch_block = next(b for b in cfg.blocks if len(cfg.real_succ()[b]) == 2)
+    branch_block = next(b for b in cfg.blocks if len(cfg.real_succ[b]) == 2)
     pre = next((s, d) for s, d, p in cfg.edges if not p and d == branch_block)
     arm = (branch_block, "hot")
     assert w[pre] == 2

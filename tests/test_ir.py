@@ -236,8 +236,8 @@ def test_normalize_labeled_actions_isolated():
 
 def test_normalize_no_critical_edges():
     for _name, _f, cfg in _norm_all():
-        succ = cfg.real_succ()
-        pred = cfg.real_pred()
+        succ = cfg.real_succ
+        pred = cfg.real_pred
         for s, d, pseudo in cfg.edges:
             if not pseudo:
                 assert len(succ[s]) == 1 or len(pred[d]) == 1, (s, d)
@@ -347,3 +347,19 @@ if HAVE_HYPOTHESIS:
         assert ir.compute_dominators(block_ids, entry, succ.__getitem__) == naive_dominators(
             block_ids, entry, succ.__getitem__
         )
+
+
+def test_normalize_adjacency_lists_every_edge_in_order():
+    (dup,) = parse_valid("func f { block e: %c = op c() br %c ? a : a block a: ret }")
+    cfgs = [cfg for _name, _f, cfg in _norm_all()] + [ir.normalize(dup)]
+    for cfg in cfgs:
+        for real, got in ((False, (cfg.succ, cfg.pred)), (True, (cfg.real_succ, cfg.real_pred))):
+            succ = {b: [] for b in cfg.blocks}
+            pred = {b: [] for b in cfg.blocks}
+            for s, d, pseudo in cfg.edges:
+                if not (real and pseudo):
+                    succ[s].append(d)
+                    pred[d].append(s)
+            assert got == (succ, pred)
+    # both arms of the branch survive critical-edge splitting
+    assert cfgs[-1].succ["e"] == ["crit.e.a", "crit.e.a"]

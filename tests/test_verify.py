@@ -158,7 +158,7 @@ def test_misplaced_barrier_rejected():
     (a,) = analyze_corpus("overlap", "armv7")
     # a dmb after the second ordered write cuts neither constraint
     wd_block = a.cfg.action_block[a.closed[1].dst]
-    (out_edge,) = [(s, d) for s, d, _ in a.cfg.out_edges(wd_block)]
+    (out_edge,) = [(wd_block, d) for d in a.cfg.succ[wd_block]]
     plan = emit.PlacementPlan("overlap", "armv7", 65)
     plan.barriers.append(
         emit.BarrierPlacement("dmb", out_edge[0], out_edge[1], out_edge[0], "end")
@@ -187,3 +187,49 @@ def test_brute_min_cap():
     p = random_problem(rng, max_vars=14)
     with pytest.raises(verify.CapExceeded):
         verify.brute_min(p, cap=2)
+
+
+SYNTH_SOURCE = """\
+func f {
+  edge xo r -> w;
+  block entry:
+    jmp b
+  block b:
+    %v = read @x label r
+    jmp m
+  block m:
+    jmp c
+  block c:
+    write @y 1 label w
+    ret
+}
+"""
+
+
+@pytest.mark.parametrize("arch_name", ["armv7", "armv8", "power"])
+def test_synth_ctrl_use_needs_strict_domination(arch_name):
+    (f,) = parse_valid(SYNTH_SOURCE)
+    a = analyze(f, arch_name)
+    r, w = a.cfg.actions["a0"], a.cfg.actions["a1"]
+    assert (a.cfg.action_block[r.id], a.cfg.action_block[w.id]) == ("b", "c")
+
+    def plan(src, dst, mode):
+        p = emit.PlacementPlan("f", arch_name, 0)
+        p.ctrl_uses.append(emit.CtrlUse(r.id, src, dst, mode))
+        return p
+
+    # b strictly dominates m: a branch on %v can be added there
+    assert _check(a, plan("m", "c", "synth")) == []
+    # b does not strictly dominate itself, and no block branches on %v
+    assert _check(a, plan("b", "m", "synth")) == ["UNCUT xo a0->a1 via [b,m,c]"]
+    assert _check(a, plan("m", "c", "existing")) == ["UNCUT xo a0->a1 via [b,m,c]"]
+
+
+def test_greedy_computes_no_weights_when_it_places_nothing(monkeypatch):
+    def unwanted(*args, **kwargs):
+        raise AssertionError("edge weights computed with no barrier to cost")
+
+    monkeypatch.setattr(graph, "edge_weights", unwanted)
+    for a in analyze_corpus("mp", "x86"):
+        plan = verify.greedy(a.cfg, a.closed, a.boundaries, a.profile, a.costs)
+        assert plan.barriers == [] and plan.cost == 0
