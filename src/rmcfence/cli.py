@@ -174,6 +174,7 @@ def cmd_check(args):
     units, profile, _costs, _options = _load_inputs(args)
     with open(args.plan, encoding="utf-8") as fh:
         plans = {p.function: p for p in emit.plans_from_json(fh.read())}
+    kinds = {k.id for k in profile.barriers}
     violations = []
     for f, cfg, closed, boundaries in units:
         plan = plans.get(f.name)
@@ -186,6 +187,14 @@ def cmd_check(args):
                 file=sys.stderr,
             )
             return EXIT_INPUT
+        for j, b in enumerate(plan.barriers):
+            if b.kind not in kinds:
+                print(
+                    f"error: plan for {f.name}: barriers[{j}] has kind {b.kind!r},"
+                    f" which {profile.name} does not have",
+                    file=sys.stderr,
+                )
+                return EXIT_INPUT
         violations.extend(
             verify.check_plan(cfg, closed, boundaries, profile, plan, args.max_paths)
         )

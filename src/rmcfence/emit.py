@@ -135,6 +135,15 @@ def plans_to_json(plans):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# The keys `plan_from_dict` reads from each item of each list.
+_ITEM_KEYS = {
+    "barriers": ("kind", "src", "dst", "anchor", "position"),
+    "ctrl_uses": ("source", "src", "dst", "mode"),
+    "data_uses": ("bind", "source", "target"),
+    "modes": ("mode", "action"),
+}
+
+
 def plans_from_json(text):
     """Plans from a JSON array of plan objects, or from one plan object.
     A document of any other shape raises ValueError."""
@@ -146,10 +155,17 @@ def plans_from_json(text):
     for i, d in enumerate(doc):
         if not isinstance(d, dict):
             raise ValueError(f"plan {i} in the plan file is not an object")
-        for key in ("barriers", "ctrl_uses", "data_uses", "modes"):
+        for key in ("function", "arch", "cost"):
+            if key not in d:
+                raise ValueError(f"plan {i} in the plan file has no {key!r}")
+        for key, required in _ITEM_KEYS.items():
             items = d.get(key)
             if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
                 raise ValueError(f"plan {i} in the plan file: {key!r} is not a list of objects")
+            for j, item in enumerate(items):
+                for k in required:
+                    if k not in item:
+                        raise ValueError(f"plan for {d['function']}: {key}[{j}] has no {k!r}")
     return [plan_from_dict(d) for d in doc]
 
 

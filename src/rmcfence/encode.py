@@ -586,6 +586,23 @@ class Compiled:
                             changed = True
         return val
 
+    def supports(self):
+        """(label, output mask of its support) per assertion: the outputs
+        it reaches through rows and definitions. A cyclic component's
+        masks grow from empty until none changes."""
+        reach = [0] * self.nslots
+        for rows, cycle in self.steps:
+            changed = True
+            while changed:
+                changed = False
+                for slot, _is_and, mask, kids in rows:
+                    for k in kids:
+                        mask |= reach[k]
+                    if reach[slot] != mask:
+                        reach[slot] = mask
+                        changed = bool(cycle)
+        return [(label, reach[slot]) for label, slot in self.asserts]
+
     def failed(self, m):
         """Labels of the assertions that fail under the output mask `m`."""
         val = self.values(m)

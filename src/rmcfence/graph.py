@@ -124,12 +124,6 @@ def _loop_bodies(cfg, back):
     return bodies
 
 
-def loop_depths(cfg):
-    """Map (src, dst) -> number of enclosing loops. Pseudo edges get 0."""
-    back = _back_edges(cfg)
-    return _depths(cfg, back)
-
-
 def _depths(cfg, back):
     bodies = _loop_bodies(cfg, back)
     depths = {}
@@ -146,14 +140,15 @@ def edge_weights(cfg, loop_factor=4):
 
     pathcount counts entry->exit simple paths through e in the DAG left
     after deleting back and pseudo edges; a pseudo edge counts the full
-    paths that end at its source exit. depth(e) is `loop_depths`. One
-    back-edge pass serves both.
+    paths that end at its source exit. depth(e) is the number of loops
+    enclosing e (0 for pseudo edges). One back-edge pass serves both.
     """
     return weights_and_depths(cfg, loop_factor)[0]
 
 
 def weights_and_depths(cfg, loop_factor=4):
-    """(`edge_weights`, `loop_depths`) of `cfg` from one back-edge pass."""
+    """(`edge_weights`, map (src, dst) -> number of enclosing loops, 0 for
+    pseudo edges) of `cfg` from one back-edge pass."""
     if loop_factor < 1:
         raise ValueError("loop_factor must be >= 1")
     back = _back_edges(cfg)

@@ -22,13 +22,29 @@ groups as a bitmask, the cheapest of their weights, the output mask of
 their members (a true member means paid) and whether an output is
 costless; a node looks its entry up by bisection.
 
+Two exact moves keep the search where an optimum can be. First, an
+output that no optimum sets True is never decided at all (`dominated`):
+its cost group is itself alone, every row of the formula that names it
+is an or row, and all of those rows also name another output with a
+singleton group that is strictly cheaper. Swapping the two keeps every
+row true and lowers the cost, so such an output stays False, and the
+"rest True" check leaves it out. Second, a False child has its parent's
+mask, so it takes its parent's list of failing assertions instead of
+evaluating the formula again. Only the root and True children evaluate
+their mask, and only False children run the "rest True" check (a True
+child's is its parent's; the root's holds because all devices satisfy
+and every row naming a dominated output names an undominated one), so
+each node evaluates the formula at most once.
+
 The search is a loop over an explicit stack of (next output, mask of the
-true outputs, their cost), so its depth is not limited by Python's
-recursion. Output i is the bit `1 << i`, the formula is evaluated by
-`encode.Compiled` on that mask, and setting an output True adds its cost
-group's weight unless a member is already True. Only the result becomes
-a frozenset `Assignment`. With strict >=-pruning the first optimum found
-is the lexicographically smallest one, so results are deterministic.
+true outputs, their cost, the parent's failing assertions for a False
+child), so its depth is not limited by Python's recursion. Output i is
+the bit `1 << i`, the formula is evaluated by `encode.Compiled` on that
+mask, and setting an output True adds its cost group's weight unless a
+member is already True. Only the result becomes a frozenset
+`Assignment`. Dominance drops only assignments that are not optimal and
+reuse drops none, so with strict >=-pruning the first optimum found is
+still the lexicographically smallest one, and results are deterministic.
 """
 
 from __future__ import annotations
@@ -70,9 +86,10 @@ class BoundData:
     suffix: dict
 
 
-def _cost_groups(problem, index):
+def cost_groups(problem):
     """(output mask of its members, weight) per cost group, and each
     output's group index (None if the output is costless)."""
+    index = encode.compiled(problem).index
     groups, group = [], [None] * len(problem.outputs)
     for g, (w, members) in enumerate(problem.cost_terms):
         groups.append((sum(1 << index[v] for v in members), w))
@@ -81,27 +98,24 @@ def _cost_groups(problem, index):
     return groups, group
 
 
-def bound_data(problem):
-    index = encode.compiled(problem).index
-    groups, group = _cost_groups(problem, index)
+def _bits(mask):
+    """The indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def bound_data(problem, groups, group):
+    """The `BoundData` of `problem`, given its `cost_groups`."""
     support = {}
-    for label, expr in problem.asserts:
-        # Definitions can be cyclic: walk them once each, without recursion.
-        outs, seen, stack = set(support.get(label, ())), set(), [expr]
-        while stack:
-            e = stack.pop()
-            tag = e[0]
-            if tag == "out":
-                outs.add(index[e[1]])
-            elif tag == "def":
-                if e[1] not in seen:
-                    seen.add(e[1])
-                    stack.append(problem.defs[e[1]])
-            elif tag != "const":
-                stack.extend(e[1])
+    for label, mask in encode.compiled(problem).supports():
         # Assertions that share a label share the union of their supports:
         # a larger support only weakens the bound.
-        support[label] = sorted(outs)
+        support[label] = support.get(label, 0) | mask
+    support = {label: _bits(mask) for label, mask in support.items()}
     suffix = {}
     for label, outs in support.items():
         table, entry = [None] * len(outs), (math.inf, 0, 0)
@@ -115,6 +129,38 @@ def bound_data(problem):
             table[p] = entry
         suffix[label] = table
     return BoundData(support, suffix)
+
+
+def dominated(formula, groups, group):
+    """The output mask of the outputs that no optimum sets True.
+
+    Output x is dominated when its cost group is x alone, every row that
+    names x is an or row, and all those rows also name some y whose cost
+    group is y alone and strictly cheaper. Setting y True and x False then
+    keeps every row true that was, and costs strictly less. Dominance is
+    transitive along strictly falling costs, so every row naming a
+    dominated output also names an undominated one.
+    """
+    n = len(group)
+    weight = [None] * n  # an output's weight if its group is a singleton
+    for x, g in enumerate(group):
+        if g is not None and groups[g][0] == 1 << x:
+            weight[x] = groups[g][1]
+    together = [(1 << n) - 1] * n  # outputs named by every row naming x
+    in_and = 0
+    for rows, _cycle in formula.steps:
+        for _slot, is_and, mask, _kids in rows:
+            if is_and:
+                in_and |= mask
+            else:
+                for x in _bits(mask):
+                    together[x] &= mask
+    never = 0
+    for x, w in enumerate(weight):
+        if w is not None and not in_and >> x & 1:
+            if any(weight[y] is not None and weight[y] < w for y in _bits(together[x])):
+                never |= 1 << x
+    return never
 
 
 def lower_bound(data, i, m, failed):
@@ -158,9 +204,15 @@ def solve_min(problem, budget_ms=None):
             f"{problem.function}/{problem.arch}: constraints uncuttable with every device placed"
         )
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    groups, group = _cost_groups(problem, formula.index)
+    groups, group = cost_groups(problem)
     # Setting output i True adds its group's weight unless a member is True.
     charge = [(0, 0) if g is None else groups[g] for g in group]
+    live = everything & ~dominated(formula, groups, group)
+    # The first undominated output at or after position i: the one its
+    # node decides.
+    nxt = [n] * (n + 1)
+    for i in reversed(range(n)):
+        nxt[i] = i if live >> i & 1 else nxt[i + 1]
 
     def assignment(m, cost):
         trues = frozenset(v for j, v in enumerate(outputs) if m >> j & 1)
@@ -169,9 +221,11 @@ def solve_min(problem, budget_ms=None):
     best = None  # (mask, cost)
     data = None  # BoundData, built when the first incumbent can prune
     decisions = 0
-    stack = [(0, 0, 0)]  # (next output, mask of the true outputs, their cost)
+    # (next output, mask of the true outputs, their cost, labels of the
+    # assertions the mask fails or None if not yet evaluated)
+    stack = [(nxt[0], 0, 0, None)]
     while stack:
-        i, m, cost = stack.pop()
+        i, m, cost, failed = stack.pop()
         decisions += 1
         if deadline is not None and time.monotonic() > deadline:
             if best is None:
@@ -179,25 +233,29 @@ def solve_min(problem, budget_ms=None):
             raise BudgetExceeded(assignment(*best))
         if best is not None and cost >= best[1]:
             continue
-        failed = formula.failed(m)
-        if not failed:
-            best = (m, cost)
-            continue
+        # A False child has its parent's mask, and so its failed list.
+        false_child = failed is not None
+        if not false_child:
+            failed = formula.failed(m)
+            if not failed:
+                best = (m, cost)
+                continue
         if i == n:
             continue
         if best is not None:
             if data is None:
-                data = bound_data(problem)
+                data = bound_data(problem, groups, group)
             lb = lower_bound(data, i, m, failed)
             if lb is None or cost + lb >= best[1]:
                 continue
         # A True child's "rest True" is its parent's, already satisfiable;
-        # the root's is all devices.
-        if i and not m >> (i - 1) & 1 and formula.failed(m | everything >> i << i):
+        # the root's is every undominated device, satisfiable because all
+        # devices are.
+        if false_child and formula.failed(m | live >> i << i):
             continue
         # The False child is pushed last, so it is searched first.
         members, w = charge[i]
-        stack.append((i + 1, m | 1 << i, cost if m & members else cost + w))
-        stack.append((i + 1, m, cost))
+        stack.append((nxt[i + 1], m | 1 << i, cost if m & members else cost + w, None))
+        stack.append((nxt[i + 1], m, cost, failed))
     assert best is not None  # all-true satisfied, so something must
     return assignment(*best)

@@ -120,9 +120,13 @@ def random_cut_source(rng, kinds=("pu", "vo")):
     return "\n".join(lines + ["}"]) + "\n"
 
 
-def random_problem(rng, max_vars=14):
+def random_problem(rng, max_vars=14, max_weight=50, and_rows=False):
     """Synthetic monotone minimization problem (always satisfiable: the
-    all-true assignment meets every clause)."""
+    all-true assignment meets every clause). Cost weights are drawn from
+    1..max_weight. With `and_rows`, a clause may instead be an and of its
+    picks, or an or whose last pick is joined by an and with one more
+    output. The defaults add no draws, so a seed gives the same problem
+    whether or not a caller names them."""
     n = rng.randint(3, max_vars)
     outputs = sorted(
         encode.OutputVar("barrier", (f"k{i:02}", f"b{i:02}", f"c{i:02}")) for i in range(n)
@@ -132,6 +136,13 @@ def random_problem(rng, max_vars=14):
     for j in range(rng.randint(1, 8)):
         picks = rng.sample(outputs, rng.randint(1, min(4, n)))
         clause = ("or", tuple(("out", v) for v in picks))
+        if and_rows:
+            shape = rng.choice(("or", "and", "nested"))
+            if shape == "and":
+                clause = ("and", clause[1])
+            elif shape == "nested":
+                joined = ("and", (clause[1][-1], ("out", rng.choice(outputs))))
+                clause = ("or", clause[1][:-1] + (joined,))
         if rng.random() < 0.3:
             name = f"d{j}"
             defs[name] = clause
@@ -141,10 +152,10 @@ def random_problem(rng, max_vars=14):
     i = 0
     while i < n:
         if rng.random() < 0.2 and i + 1 < n:
-            cost_terms.append((rng.randint(1, 50), frozenset(outputs[i : i + 2])))
+            cost_terms.append((rng.randint(1, max_weight), frozenset(outputs[i : i + 2])))
             i += 2
         else:
-            cost_terms.append((rng.randint(1, 50), frozenset([outputs[i]])))
+            cost_terms.append((rng.randint(1, max_weight), frozenset([outputs[i]])))
             i += 1
     return encode.Problem(
         function="synthetic",

@@ -62,7 +62,7 @@ def test_criterion_3_loop_barrier_hoisted_out():
     (a,) = analyze_corpus("loop", "armv7")
     _asg, plan = _solve(a)
     (b,) = plan.barriers
-    depths = graph.loop_depths(a.cfg)
+    depths = graph.weights_and_depths(a.cfg)[1]
     assert depths[(b.src, b.dst)] == 0
     assert b.dst == "head"  # the preheader edge into the loop header
     elapsed = time.monotonic() - t0

@@ -289,6 +289,27 @@ def test_malformed_plan_file_is_an_input_error(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        pytest.param(lambda b: b.update(kind="bogus"),
+                     "error: plan for recv: barriers[0] has kind 'bogus', which armv7 does not have\n",
+                     id="unknown-kind"),
+        pytest.param(lambda b: b.pop("src"), "error: plan for recv: barriers[0] has no 'src'\n",
+                     id="missing-key"),
+    ],
+)
+def test_bad_plan_item_names_itself(tmp_path, capsys, spoil, message):
+    src, dest = str(corpus_path("mp")), tmp_path / "plan.json"
+    run(capsys, "compile", src, "--arch", "armv7", "--out", str(dest))
+    doc = json.loads(dest.read_text())
+    (recv,) = [plan for plan in doc if plan["function"] == "recv"]
+    spoil(recv["barriers"][0])
+    dest.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", src, str(dest), "--arch", "armv7")
+    assert (code, out, err) == (cli.EXIT_INPUT, "", message)
+
+
 DUPLICATE_TARGETS = """\
 func dup {
   edge vo w1 -> w2;

@@ -92,7 +92,7 @@ def test_cond_weights_favor_the_arm():
 
 def test_loop_depth_and_weights():
     cfg = _cfg("loop", "loop")
-    depths = graph.loop_depths(cfg)
+    depths = graph.weights_and_depths(cfg)[1]
     w = graph.edge_weights(cfg, loop_factor=4)
     preheader = next((s, d) for s, d, p in cfg.edges if not p and d == "head" and depths[(s, d)] == 0)
     in_loop = [(e, dep) for e, dep in depths.items() if dep == 1]
@@ -104,7 +104,7 @@ def test_loop_depth_and_weights():
 
 def test_loop_factor_scales_depth():
     cfg = _cfg("loop", "loop")
-    depths = graph.loop_depths(cfg)
+    depths = graph.weights_and_depths(cfg)[1]
     w = graph.edge_weights(cfg, loop_factor=9)
     e = next(e for e, dep in depths.items() if dep == 1)
     assert w[e] == 9
@@ -118,7 +118,7 @@ def test_nested_loop_depth_two():
     )
     assert not ir.validate(f)
     cfg = ir.normalize(f)
-    depths = graph.loop_depths(cfg)
+    depths = graph.weights_and_depths(cfg)[1]
     assert max(depths.values()) == 2
     w = graph.edge_weights(cfg, loop_factor=4)
     deep = next(e for e, dep in depths.items() if dep == 2)
@@ -129,7 +129,7 @@ def test_pseudo_edges_have_depth_zero():
     for name in ("mp", "mp_loop", "spinlock"):
         for f in parse_valid(load_corpus(name)):
             cfg = ir.normalize(f)
-            depths = graph.loop_depths(cfg)
+            depths = graph.weights_and_depths(cfg)[1]
             for s, d, pseudo in cfg.edges:
                 if pseudo:
                     assert depths[(s, d)] == 0
@@ -144,7 +144,7 @@ def test_irreducible_fallback():
     )
     assert not ir.validate(f)
     cfg = ir.normalize(f)
-    depths = graph.loop_depths(cfg)  # must not loop forever or crash
+    depths = graph.weights_and_depths(cfg)[1]  # must not loop forever or crash
     assert any(d > 0 for d in depths.values())
 
 

@@ -15,7 +15,8 @@ except ImportError:
 
 from rmcfence import encode, solver, verify
 from conftest import (
-    ARCHES, CORPUS_NAMES, analyze, analyze_corpus, parse_valid, random_problem, walk_source,
+    ARCHES, CORPUS_NAMES, analyze, analyze_corpus, load_corpus, parse_valid, random_problem,
+    walk_source,
 )
 
 # Search nodes (`Assignment.decisions`) per "<file> <arch> <function>" of the
@@ -45,22 +46,107 @@ def test_matches_exhaustive_on_random_problems():
         assert encode.satisfies(p, got.true_vars)
 
 
+def _lex_least_optimum(p):
+    """Among all optima of `p` by brute force, the one whose membership
+    vector over the canonical variable order is least (False < True)."""
+    best_cost = verify.brute_min(p).cost
+    indicator = lambda trues: tuple(v in trues for v in p.outputs)
+    optima = []
+    for mask in range(1 << len(p.outputs)):
+        trues = frozenset(v for i, v in enumerate(p.outputs) if mask >> i & 1)
+        if p.objective(trues) == best_cost and encode.satisfies(p, trues):
+            optima.append((indicator(trues), trues))
+    return min(optima, key=lambda o: o[0])[1]
+
+
 def test_result_is_lexicographically_least_among_optima():
     rng = random.Random(99)
     for _ in range(100):
         p = random_problem(rng, max_vars=10)
+        assert solver.solve_min(p).true_vars == _lex_least_optimum(p)
+
+
+def _outs(*names):
+    return [encode.OutputVar("barrier", ("k", name, "c")) for name in names]
+
+
+def _or(*vs):
+    return ("or", tuple(("out", v) for v in vs))
+
+
+def test_dominance_needs_a_strictly_cheaper_output():
+    # a and b cost the same, so neither dominates the other: {a} and {b, c}
+    # are both optimal at 5, and {b, c} is the lexicographically least.
+    a, b, c = _outs("a", "b", "c")
+    p = encode.Problem(
+        function="tie", arch="none", outputs=[a, b, c], defs={},
+        asserts=[("ab", _or(a, b)), ("ac", _or(a, c))],
+        cost_terms=[(5, frozenset([a])), (5, frozenset([b]))],
+    )
+    assert solver.dominated(encode.compiled(p), *solver.cost_groups(p)) == 0
+    got = solver.solve_min(p)
+    assert got.true_vars == frozenset([b, c]) == _lex_least_optimum(p)
+    assert got.cost == 5
+
+
+def test_an_output_inside_an_and_is_not_dominated():
+    # x is named beside the cheaper y, but also inside an and, where y
+    # cannot stand in for it; the optimum sets x.
+    x, y, z, w = _outs("x", "y", "z", "w")
+    p = encode.Problem(
+        function="and", arch="none", outputs=[x, y, z, w], defs={},
+        asserts=[
+            ("xy", _or(x, y)),
+            ("xz_or_w", ("or", (("and", (("out", x), ("out", z))), ("out", w)))),
+        ],
+        cost_terms=[(5, frozenset([x])), (3, frozenset([y])), (1, frozenset([z])),
+                    (100, frozenset([w]))],
+    )
+    assert solver.dominated(encode.compiled(p), *solver.cost_groups(p)) == 0
+    got, ref = solver.solve_min(p), verify.brute_min(p)
+    assert (got.true_vars, got.cost) == (ref.true_vars, ref.cost) == (frozenset([x, z]), 6)
+
+
+def test_equal_costs_from_an_override_turn_dominance_off():
+    (func,) = [f for f in parse_valid(load_corpus("mp")) if f.name == "recv"]
+
+    def solve(costs_text=None):
+        p = analyze(func, "armv8", costs_text=costs_text).problem
+        never = solver.dominated(encode.compiled(p), *solver.cost_groups(p))
         got = solver.solve_min(p)
-        best_cost = got.cost
-        # among all optima, the solver must pick the one whose membership
-        # vector over the canonical variable order is least (False < True)
-        indicator = lambda trues: tuple(v in trues for v in p.outputs)
-        optima = []
-        n = len(p.outputs)
-        for mask in range(1 << n):
-            trues = frozenset(v for i, v in enumerate(p.outputs) if mask >> i & 1)
-            if p.objective(trues) == best_cost and encode.satisfies(p, trues):
-                optima.append(indicator(trues))
-        assert indicator(got.true_vars) == min(optima)
+        assert got.true_vars == _lex_least_optimum(p)
+        detail = lambda vs: sorted(v.detail[0] for v in vs)
+        return detail(v for i, v in enumerate(p.outputs) if never >> i & 1), detail(got.true_vars)
+
+    assert solve() == (["a0", "dmb", "dmb_ldst"], ["dmb_ld"])
+    # dmb_ld and dmb_ldst sit on the same edge; at equal cost neither
+    # dominates the other, and the lexicographically least optimum is dmb_ldst.
+    assert solve("dmb_ld = 50\n") == (["a0", "dmb"], ["dmb_ldst"])
+
+
+def test_each_node_evaluates_the_formula_at_most_once(monkeypatch):
+    # A False child reuses its parent's evaluation; the one extra call is
+    # the all-devices check before the search.
+    calls = 0
+    failed = encode.Compiled.failed
+
+    def counted(self, m):
+        nonlocal calls
+        calls += 1
+        return failed(self, m)
+
+    monkeypatch.setattr(encode.Compiled, "failed", counted)
+    problems = []
+    for name in CORPUS_NAMES:
+        for arch_name in ARCHES:
+            problems += [(name, arch_name, a.problem) for a in analyze_corpus(name, arch_name)]
+    for n in (2, 3):
+        (func,) = parse_valid(walk_source(n))
+        problems += [(f"walk{n}", a, analyze(func, a).problem) for a in ARCHES]
+    for name, arch_name, p in problems:
+        calls = 0
+        got = solver.solve_min(p)
+        assert calls <= got.decisions + 1, (name, arch_name, p.function)
 
 
 def test_node_counts_unchanged():
@@ -172,7 +258,8 @@ if HAVE_HYPOTHESIS:
         i = data.draw(st.integers(0, n))
         mask = data.draw(st.integers(0, (1 << i) - 1))
         trues = frozenset(v for j, v in enumerate(p.outputs[:i]) if mask >> j & 1)
-        lb = solver.lower_bound(solver.bound_data(p), i, mask, encode.failed_assertions(p, trues))
+        bound = solver.bound_data(p, *solver.cost_groups(p))
+        lb = solver.lower_bound(bound, i, mask, encode.failed_assertions(p, trues))
         rest = p.outputs[i:]
         cheapest = None
         for m in range(1 << len(rest)):
@@ -184,3 +271,11 @@ if HAVE_HYPOTHESIS:
             return
         assert lb is not None
         assert p.objective(trues) + lb <= cheapest
+
+    @given(st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_result_is_the_lexicographically_least_optimum_with_dominance(seed, and_rows):
+        # Weights 1..3 make both strict dominance and equal-cost ties
+        # common; and rows and shared groups turn it off for their outputs.
+        p = random_problem(random.Random(seed), max_vars=10, max_weight=3, and_rows=and_rows)
+        assert solver.solve_min(p).true_vars == _lex_least_optimum(p)
