@@ -171,7 +171,7 @@ def cmd_compile(args):
 
 
 def cmd_check(args):
-    units, profile, _costs, _options = _load_inputs(args)
+    units, profile, costs, _options = _load_inputs(args)
     with open(args.plan, encoding="utf-8") as fh:
         plans = {p.function: p for p in emit.plans_from_json(fh.read())}
     kinds = {k.id for k in profile.barriers}
@@ -187,14 +187,15 @@ def cmd_check(args):
                 file=sys.stderr,
             )
             return EXIT_INPUT
-        for j, b in enumerate(plan.barriers):
-            if b.kind not in kinds:
-                print(
-                    f"error: plan for {f.name}: barriers[{j}] has kind {b.kind!r},"
-                    f" which {profile.name} does not have",
-                    file=sys.stderr,
-                )
-                return EXIT_INPUT
+        unknown = [f"barriers[{j}] has kind {b.kind!r}"
+                   for j, b in enumerate(plan.barriers) if b.kind not in kinds]
+        unknown += [f"modes[{j}] has mode {m.mode!r}"
+                    for j, m in enumerate(plan.modes) if m.mode not in profile.modes]
+        if unknown:
+            print(f"error: plan for {f.name}: {unknown[0]}, which {profile.name} does not have",
+                  file=sys.stderr)
+            return EXIT_INPUT
+        violations.extend(verify.check_claims(cfg, costs, plan))
         violations.extend(
             verify.check_plan(cfg, closed, boundaries, profile, plan, args.max_paths)
         )

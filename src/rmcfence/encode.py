@@ -81,7 +81,6 @@ class EncodeOptions:
     data_deps: bool = True
     ctrl_deps: bool = True
     synth_deps: bool = False
-    self_condition: bool = True  # test hook; disabling it is unsound
     max_paths: int = graph.DEFAULT_MAX_PATHS
 
 
@@ -330,11 +329,8 @@ class Encoder:
         if self.opt.ctrl_deps and t_action.is_write and s_action.reads_value:
             cp = self._ctrl_path(s_action, path)
             if self.defs[cp[1]] != FALSE:
-                if self.opt.self_condition:
-                    side = _or([self._ctrl_self(bind, s_action), self_ref()])
-                    disj.append(_and([cp, side]))
-                else:
-                    disj.append(cp)
+                side = _or([self._ctrl_self(bind, s_action), self_ref()])
+                disj.append(_and([cp, side]))
         if (
             self.opt.data_deps
             and s_action.reads_value
@@ -344,10 +340,7 @@ class Encoder:
                 "use_data", (self._bstr(bind), s_action.id, t_action.id, self._pid(path))
             )
             self.vars.add(v)
-            term = ("out", v)
-            if self.opt.self_condition:
-                term = _and([term, self_ref()])
-            disj.append(term)
+            disj.append(_and([("out", v), self_ref()]))
         return self._define(name, _or(disj))
 
     # -- boundaries ---------------------------------------------------------

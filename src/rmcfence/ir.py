@@ -527,6 +527,37 @@ def print_function(func):
 # Validation
 
 
+def depth_first(entry, succ):
+    """One iterative depth-first search from `entry` over `succ(b)`.
+
+    Returns (order, pre, post, retreating): the blocks reached in reverse
+    postorder, each one's preorder and postorder number, and the set of
+    retreating edges (u, v), those whose target v is still on the search
+    stack when u reaches it, self-loops included. The reverse postorder
+    is a topological order of the other edges. In a reducible graph the
+    retreating edges are exactly the back edges, whose target dominates
+    their source (Hecht & Ullman, "Flow Graph Reducibility", 1972).
+    """
+    pre, post = {entry: 0}, {}
+    order, retreating = [], set()  # order: postorder, then reversed
+    stack = [(entry, iter(succ(entry)))]
+    while stack:
+        b, it = stack[-1]
+        for s in it:
+            if s not in pre:
+                pre[s] = len(pre)
+                stack.append((s, iter(succ(s))))
+                break
+            if s not in post:
+                retreating.add((b, s))
+        else:
+            stack.pop()
+            post[b] = len(post)
+            order.append(b)
+    order.reverse()
+    return order, pre, post, retreating
+
+
 def compute_dominators(block_ids, entry, succ):
     """Dominator sets, dict block -> set of the blocks that dominate it.
 
@@ -540,20 +571,7 @@ def compute_dominators(block_ids, entry, succ):
     rejects unreachable blocks before it asks, and the real edges of a
     normalized CFG reach every block.
     """
-    order = []  # postorder, then reversed
-    seen = {entry}
-    stack = [(entry, iter(succ(entry)))]
-    while stack:
-        b, it = stack[-1]
-        for s in it:
-            if s not in seen:
-                seen.add(s)
-                stack.append((s, iter(succ(s))))
-                break
-        else:
-            stack.pop()
-            order.append(b)
-    order.reverse()
+    order = depth_first(entry, succ)[0]
     num = {b: i for i, b in enumerate(order)}
     preds = [[] for _ in order]
     for b in order:
@@ -684,6 +702,10 @@ def validate(func):
         for ins in blk.instrs:
             if isinstance(ins, Action) and ins.kind == "noop" and not ins.labels:
                 bad("noop action without a label")
+            # A push that constraints could name would need push-edge
+            # semantics (vo into it, xo out of it), which nothing implements.
+            if isinstance(ins, Action) and ins.kind == "push" and ins.labels:
+                bad(f"labelled push (tag {ins.labels[0]!r}) is not supported")
     return diags
 
 

@@ -8,7 +8,10 @@ strong-enough barrier, reported as the witness; an xo edge is checked
 path by path, because dependencies serve single paths. A control
 dependency counts only where the code can carry it: an existing one
 at a branch on the source's value, a synthesized one at a block the
-source's block strictly dominates. brute_min is the
+source's block strictly dominates. check_claims compares what a plan
+states about itself, its barrier anchors and its cost, with
+`emit.edge_anchor` and with `plan_cost`, the encoder's cost rule
+restated here. brute_min is the
 exhaustive optimization oracle for small problems; greedy is the
 deliberately simple baseline the optimizer is measured against.
 """
@@ -51,25 +54,30 @@ class PlanChecker:
         self._dom = None
         self._self_memo = {}
 
-    # -- independent path walk (recursive; cycles when a == b) --
+    # -- independent path walk (depth-first; cycles when a == b) --
 
     def paths(self, a, b, excluded=None):
         if a == excluded or b == excluded:
             return []
         found = []
-
-        def go(here, trail):
-            for nxt in self.cfg.succ[here]:
+        trail, on_trail = [a], {a}
+        todo = [iter(self.cfg.succ[a])]  # one successor iterator per trail block
+        while todo:
+            for nxt in todo[-1]:
                 if nxt == excluded:
                     continue
                 if nxt == b:
-                    found.append(trail + (nxt,))
+                    found.append(tuple(trail) + (nxt,))
                     if len(found) > self.cap:
                         raise graph.PathExplosion(a, b, self.cap)
-                elif nxt not in trail:
-                    go(nxt, trail + (nxt,))
-
-        go(a, (a,))
+                elif nxt not in on_trail:
+                    trail.append(nxt)
+                    on_trail.add(nxt)
+                    todo.append(iter(self.cfg.succ[nxt]))
+                    break
+            else:
+                todo.pop()
+                on_trail.discard(trail.pop())
         return found
 
     # -- independent dependence walk (coinductive: on-stack counts as yes) --
@@ -293,6 +301,49 @@ def check_plan(cfg, edges, boundaries, profile, plan, path_cap=graph.DEFAULT_MAX
     return out
 
 
+def plan_cost(cfg, costs, plan):
+    """The cost of what a plan places, by the encoder's rule restated
+    here: a barrier or control-dependency use pays its edge's weight
+    times its price, an access mode the heaviest weight of an edge into
+    its action's block (1 if none), a data-dependency use its price.
+    Edge weights are computed only when something placed needs them."""
+    barriers = {(b.kind, b.src, b.dst) for b in plan.barriers}
+    ctrl = {(u.source, u.src, u.dst, u.mode) for u in plan.ctrl_uses}
+    modes = {(m.mode, m.action) for m in plan.modes}
+    weights = graph.edge_weights(cfg, costs.loop_factor) if barriers or ctrl or modes else {}
+    cost = len({(u.bind, u.source, u.target) for u in plan.data_uses}) * costs.dep("data_existing")
+    cost += sum(weights[(s, d)] * costs.kind(k) for k, s, d in barriers)
+    for _, s, d, mode in ctrl:
+        cost += weights[(s, d)] * costs.dep("ctrl_existing" if mode == "existing" else "ctrl_synth")
+    for mode, action in modes:
+        blk = cfg.action_block[action]
+        cost += max((w for (_, d), w in weights.items() if d == blk), default=1) * costs.mode(mode)
+    return cost
+
+
+def check_claims(cfg, costs, plan):
+    """Mismatch strings for what a plan states about itself: every edge
+    device on an edge of the function and every mode on one of its
+    actions, every barrier at the place `emit.edge_anchor` gives its
+    edge, and the cost `plan_cost` gives."""
+    edges = {(s, d) for s, d, _ in cfg.edges}
+    name = plan.function
+    out = [f"NO EDGE {name}: {x.src}->{x.dst}" for x in plan.barriers + plan.ctrl_uses
+           if (x.src, x.dst) not in edges]
+    out += [f"NO ACTION {name}: {m.action}" for m in plan.modes if m.action not in cfg.action_block]
+    if out:
+        return out
+    for b in plan.barriers:
+        place = edge_anchor(cfg, b.src, b.dst)
+        if (b.anchor, b.position) != place:
+            out.append(f"MISPLACED {name}: {b.kind} on {b.src}->{b.dst} is at {b.anchor}"
+                       f" {b.position}, belongs at {' '.join(place)}")
+    cost = plan_cost(cfg, costs, plan)
+    if cost != plan.cost:
+        out.append(f"COST {name}: plan states {plan.cost}, its devices cost {cost}")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive oracle
 
@@ -372,13 +423,10 @@ def greedy(cfg, edges, boundaries, profile, costs):
             if not cut(e, cap_name):
                 place(e, cheapest(cap_name))
 
-    weights = graph.edge_weights(cfg, costs.loop_factor) if placed else {}
     plan = PlacementPlan(cfg.func.name, profile.name, 0)
-    cost = 0
     for (s, d), kinds in sorted(placed.items()):
         for k in sorted(kinds):
             anchor, pos = edge_anchor(cfg, s, d)
             plan.barriers.append(BarrierPlacement(k, s, d, anchor, pos))
-            cost += weights[(s, d)] * costs.kind(k)
-    plan.cost = cost
+    plan.cost = plan_cost(cfg, costs, plan)
     return plan

@@ -28,6 +28,28 @@ def parse_valid(text):
     return funcs
 
 
+def naive_dominators(block_ids, entry, succ):
+    """Reference: the set-intersection fixpoint over every block."""
+    preds = {b: [] for b in block_ids}
+    for b in block_ids:
+        for s in succ(b):
+            preds[s].append(b)
+    dom = {b: set(block_ids) for b in block_ids}
+    dom[entry] = {entry}
+    changed = True
+    while changed:
+        changed = False
+        for b in block_ids:
+            if b == entry:
+                continue
+            ps = [dom[p] for p in preds[b]]
+            new = {b} | (set.intersection(*ps) if ps else set())
+            if new != dom[b]:
+                dom[b] = new
+                changed = True
+    return dom
+
+
 def analyze(func, arch_name="armv7", costs_text=None, **opt_kw):
     """Full front-half pipeline for one function."""
     cfg = ir.normalize(func)

@@ -103,14 +103,17 @@ def test_criterion_5_widget_rides_existing_data_dependencies():
                f"unscoped cost {u_cost} > scoped {s_cost}")
 
 
-def test_criterion_6_control_dependency_needs_self_ordering():
+def test_criterion_6_control_dependency_needs_self_ordering(monkeypatch):
     # Sound build: whatever the plan uses, the independent checker accepts it.
     (a,) = analyze_corpus("selfdep", "armv7")
     _asg, plan = _solve(a)
     assert verify.check_plan(a.cfg, a.closed, a.boundaries, a.profile, plan) == []
-    # Unsound build (side condition stripped): the optimizer grabs the
-    # cheap control dependency and the checker rejects the result.
-    (bad,) = analyze_corpus("selfdep", "armv7", self_condition=False)
+    # Unsound build (side condition stripped: a control dependency's
+    # source counts as ordered with its own next occurrence): the
+    # optimizer grabs the cheap control dependency and the checker
+    # rejects the result.
+    monkeypatch.setattr(encode.Encoder, "_ctrl_self", lambda self, bind, s_action: encode.TRUE)
+    (bad,) = analyze_corpus("selfdep", "armv7")
     _asg2, plan2 = _solve(bad)
     assert plan2.ctrl_uses
     violations = verify.check_plan(bad.cfg, bad.closed, bad.boundaries, bad.profile, plan2)

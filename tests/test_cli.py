@@ -292,11 +292,14 @@ def test_malformed_plan_file_is_an_input_error(tmp_path, capsys, doc):
 @pytest.mark.parametrize(
     "spoil, message",
     [
-        pytest.param(lambda b: b.update(kind="bogus"),
+        pytest.param(lambda p: p["barriers"][0].update(kind="bogus"),
                      "error: plan for recv: barriers[0] has kind 'bogus', which armv7 does not have\n",
                      id="unknown-kind"),
-        pytest.param(lambda b: b.pop("src"), "error: plan for recv: barriers[0] has no 'src'\n",
-                     id="missing-key"),
+        pytest.param(lambda p: p["barriers"][0].pop("src"),
+                     "error: plan for recv: barriers[0] has no 'src'\n", id="missing-key"),
+        pytest.param(lambda p: p["modes"].append({"mode": "acquire", "action": "a0"}),
+                     "error: plan for recv: modes[0] has mode 'acquire', which armv7 does not have\n",
+                     id="unknown-mode"),
     ],
 )
 def test_bad_plan_item_names_itself(tmp_path, capsys, spoil, message):
@@ -304,7 +307,7 @@ def test_bad_plan_item_names_itself(tmp_path, capsys, spoil, message):
     run(capsys, "compile", src, "--arch", "armv7", "--out", str(dest))
     doc = json.loads(dest.read_text())
     (recv,) = [plan for plan in doc if plan["function"] == "recv"]
-    spoil(recv["barriers"][0])
+    spoil(recv)
     dest.write_text(json.dumps(doc))
     code, out, err = run(capsys, "check", src, str(dest), "--arch", "armv7")
     assert (code, out, err) == (cli.EXIT_INPUT, "", message)
@@ -347,3 +350,53 @@ def test_branch_to_one_block_twice_keeps_both_edges(tmp_path, capsys):
             "status": "optimal",
         }
     ]
+
+
+@pytest.mark.parametrize(
+    "spoil, lines",
+    [
+        pytest.param(lambda p: p["barriers"][0].update(anchor="entry", position="end"),
+                     ["MISPLACED recv: dmb on loop->done is at entry end, belongs at done begin"],
+                     id="anchor"),
+        pytest.param(lambda p: p.update(cost=1),
+                     ["COST recv: plan states 1, its devices cost 65"], id="cost"),
+        pytest.param(lambda p: p["barriers"][0].update(src="done"),
+                     ["NO EDGE recv: done->done"], id="no-edge"),
+    ],
+)
+def test_check_verifies_what_a_plan_claims(tmp_path, capsys, spoil, lines):
+    # the barrier still cuts every path, so only the claim is wrong
+    src, dest = str(corpus_path("mp")), tmp_path / "plan.json"
+    run(capsys, "compile", src, "--arch", "armv7", "--out", str(dest))
+    doc = json.loads(dest.read_text())
+    (recv,) = [plan for plan in doc if plan["function"] == "recv"]
+    spoil(recv)
+    dest.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", src, str(dest), "--arch", "armv7")
+    assert (code, out.splitlines()[: len(lines)], err) == (cli.EXIT_INVALID, lines, "")
+
+
+def test_labelled_push_is_rejected(tmp_path, capsys):
+    src = tmp_path / "push.rmcir"
+    src.write_text(
+        "func sb { edge vo wx -> P; edge xo P -> ry; block entry: write @x 1 label wx "
+        "push label P %r = read @y label ry ret %r }"
+    )
+    code, out, err = run(capsys, "compile", str(src), "--arch", "power")
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "error: 0:0: sb: labelled push (tag 'P') is not supported\n"
+
+
+def test_xo_across_a_long_jump_chain(tmp_path, capsys):
+    # every path walk must survive more blocks than Python's recursion limit
+    n = 1200
+    lines = ["func chain {", "edge xo r -> w;", "block b0:", "%v = read @x label r", "jmp b1"]
+    for i in range(1, n):
+        lines += [f"block b{i}:", f"jmp b{i + 1}"]
+    lines += [f"block b{n}:", "write @y 1 label w", "ret", "}"]
+    src, dest = tmp_path / "chain.rmcir", tmp_path / "plan.json"
+    src.write_text("\n".join(lines))
+    code, _, err = run(capsys, "compile", str(src), "--arch", "armv7", "--out", str(dest))
+    assert code == 0, err
+    code, out, _ = run(capsys, "check", str(src), str(dest), "--arch", "armv7")
+    assert (code, out) == (0, "OK\n")

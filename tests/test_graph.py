@@ -1,11 +1,24 @@
 import itertools
+import json
+import pathlib
 import random
 from types import SimpleNamespace
 
 import pytest
 
+try:
+    from hypothesis import assume, given, settings, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
 from rmcfence import graph, ir
-from conftest import load_corpus, parse_valid
+from conftest import CORPUS_NAMES, load_corpus, naive_dominators, parse_valid, random_cut_source
+
+# "<file stem> <function>" -> "src->dst" -> [weight, depth] at the default
+# loop factor, for every edge of every corpus function.
+CORPUS_WEIGHTS = json.loads((pathlib.Path(__file__).parent / "corpus_weights.json").read_text())
 
 
 def stub_cfg(block_ids, edges):
@@ -146,6 +159,9 @@ def test_irreducible_fallback():
     cfg = ir.normalize(f)
     depths = graph.weights_and_depths(cfg)[1]  # must not loop forever or crash
     assert any(d > 0 for d in depths.values())
+    # e runs once per call, and so do both edges out of it: neither lies
+    # on the a <-> b cycle, whichever side the cycle is entered from.
+    assert depths[("e", "crit.e.a")] == depths[("e", "crit.e.b")] == 0
 
 
 def test_weights_positive_and_exact():
@@ -192,3 +208,90 @@ def test_spin_loop_self_cycles_include_back_and_wraparound():
         hops = list(zip(cyc, cyc[1:])) + [(cyc[-1], cyc[0])]
         uses_pseudo.append(any(h in pseudo for h in hops))
     assert any(uses_pseudo) and not all(uses_pseudo)
+
+
+def test_corpus_weights_unchanged():
+    got = {}
+    for name in CORPUS_NAMES:
+        for f in parse_valid(load_corpus(name)):
+            cfg = ir.normalize(f)
+            w, d = graph.weights_and_depths(cfg)
+            got[f"{name} {f.name}"] = {f"{s}->{t}": [w[(s, t)], d[(s, t)]] for s, t, _ in cfg.edges}
+    assert got == CORPUS_WEIGHTS
+
+
+def dominance_reference(cfg, loop_factor):
+    """Weights and depths the textbook way, or None for an irreducible
+    CFG. Back edges are the real edges whose target dominates their
+    source; Kahn's algorithm orders the other real edges, and finds a
+    cycle among them exactly when the CFG is irreducible; the natural
+    loop of a header is the header plus every block that reaches one of
+    its latches backwards without passing it."""
+    blocks, succ = list(cfg.blocks), cfg.real_succ
+    dom = naive_dominators(blocks, cfg.entry, succ.__getitem__)
+    back = {(u, v) for u in blocks for v in succ[u] if v in dom[u]}
+    fwd = {u: [v for v in succ[u] if (u, v) not in back] for u in blocks}
+    indeg = {b: 0 for b in blocks}
+    for u in blocks:
+        for v in fwd[u]:
+            indeg[v] += 1
+    order, work = [], [b for b in blocks if indeg[b] == 0]
+    while work:
+        u = work.pop()
+        order.append(u)
+        for v in fwd[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                work.append(v)
+    if len(order) < len(blocks):
+        return None
+    from_entry = {b: int(b == cfg.entry) for b in blocks}
+    for u in order:
+        for v in fwd[u]:
+            from_entry[v] += from_entry[u]
+    to_exit = {b: int(isinstance(cfg.blocks[b].term, ir.Ret)) for b in blocks}
+    for u in reversed(order):
+        for v in fwd[u]:
+            to_exit[u] += to_exit[v]
+    bodies = {}
+    for u, h in back:
+        body, todo = bodies.setdefault(h, {h}), [u]
+        while todo:
+            b = todo.pop()
+            if b not in body:
+                body.add(b)
+                todo.extend(cfg.real_pred[b])
+    weights, depths = {}, {}
+    for s, d, pseudo in cfg.edges:
+        depth = 0 if pseudo else sum(s in body and d in body for body in bodies.values())
+        count = from_entry[s] if pseudo or (s, d) in back else from_entry[s] * to_exit[d]
+        weights[(s, d)] = max(1, count) * loop_factor**depth
+        depths[(s, d)] = depth
+    return weights, depths
+
+
+if HAVE_HYPOTHESIS:
+
+    def _random_cfg(rnd):
+        (f,) = parse_valid(random_cut_source(rnd))
+        return ir.normalize(f)
+
+    @given(st.randoms(use_true_random=False), st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_weights_equal_dominance_reference_on_reducible_cfgs(rnd, loop_factor):
+        cfg = _random_cfg(rnd)
+        ref = dominance_reference(cfg, loop_factor)
+        assume(ref is not None)
+        assert graph.weights_and_depths(cfg, loop_factor) == ref
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_an_edge_has_a_depth_exactly_when_it_lies_on_a_cycle(rnd):
+        # irreducible CFGs included: a loop entered from two sides must
+        # not give depth to the edges that lead into it
+        cfg = _random_cfg(rnd)
+        real = [(s, d) for s, d, pseudo in cfg.edges if not pseudo]
+        comp = {b: i for i, c in enumerate(graph.sccs(cfg.blocks, real)) for b in c}
+        depths = graph.weights_and_depths(cfg)[1]
+        for s, d, pseudo in cfg.edges:
+            assert (depths[(s, d)] > 0) == (not pseudo and comp[s] == comp[d]), (s, d)

@@ -8,7 +8,7 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 from rmcfence import ir
-from conftest import CORPUS_NAMES, load_corpus, parse_valid
+from conftest import CORPUS_NAMES, load_corpus, naive_dominators, parse_valid
 
 
 def test_parse_mp_sender_shape():
@@ -285,28 +285,6 @@ def test_dominators_diamond():
     )
     assert dom["j"] == {"e", "j"}
     assert dom["a"] == {"e", "a"}
-
-
-def naive_dominators(block_ids, entry, succ):
-    """Reference: the set-intersection fixpoint over every block."""
-    preds = {b: [] for b in block_ids}
-    for b in block_ids:
-        for s in succ(b):
-            preds[s].append(b)
-    dom = {b: set(block_ids) for b in block_ids}
-    dom[entry] = {entry}
-    changed = True
-    while changed:
-        changed = False
-        for b in block_ids:
-            if b == entry:
-                continue
-            ps = [dom[p] for p in preds[b]]
-            new = {b} | (set.intersection(*ps) if ps else set())
-            if new != dom[b]:
-                dom[b] = new
-                changed = True
-    return dom
 
 
 def test_dominators_irreducible_loop():
