@@ -121,8 +121,11 @@ def load_costs(profile, path=None, text=None):
     loop_factor = DEFAULT_LOOP_FACTOR
 
     if path is not None and text is None:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CostConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     if text:
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()

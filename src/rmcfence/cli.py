@@ -6,7 +6,8 @@ closed constraints, weights, and cost breakdown), oracle (cross-check
 the optimizer against exhaustive search and the greedy baseline).
 
 Exit codes: 0 success/valid, 1 invalid input or usage error, 2 path
-explosion, 3 budget exhausted, 4 invalid plan / oracle mismatch.
+explosion, 3 budget exhausted, 4 invalid plan / oracle mismatch, 5
+internal error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 from dataclasses import replace
 
@@ -25,6 +27,7 @@ EXIT_INPUT = 1
 EXIT_PATHS = 2
 EXIT_BUDGET = 3
 EXIT_INVALID = 4
+EXIT_INTERNAL = 5
 
 
 def _add_common(p):
@@ -86,8 +89,11 @@ def build_parser():
 
 def _load_inputs(args):
     """Parse + validate + per-function analysis structures."""
-    with open(args.file, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ir.ParseError([f"{args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})"])
     funcs = ir.parse(text)
     diags = []
     for f in funcs:
@@ -141,6 +147,19 @@ def _budget_warning(name):
     return EXIT_BUDGET
 
 
+def _write_in_place(path, text):
+    """Write `text` to `path` without emptying the file first: overwrite
+    it from the start, then cut a regular file to the written length.
+    Truncating a file to zero before rewriting it makes ext4
+    (`auto_da_alloc`) start writeback of the new data when it is closed,
+    a cost every compile that rewrites its plan would pay."""
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))
+
+
 def cmd_compile(args):
     units, profile, costs, options = _load_inputs(args)
     plans, cfgs = [], {}
@@ -161,8 +180,7 @@ def cmd_compile(args):
             for p in sorted(plans, key=lambda p: p.function)
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_in_place(args.out, text)
     else:
         sys.stdout.write(text)
     if budget_note is not None:
@@ -172,7 +190,7 @@ def cmd_compile(args):
 
 def cmd_check(args):
     units, profile, costs, _options = _load_inputs(args)
-    with open(args.plan, encoding="utf-8") as fh:
+    with open(args.plan, "rb") as fh:
         plans = {p.function: p for p in emit.plans_from_json(fh.read())}
     kinds = {k.id for k in profile.barriers}
     violations = []
@@ -301,12 +319,16 @@ def main(argv=None):
         for d in exc.diagnostics:
             print(f"error: {d}", file=sys.stderr)
         return EXIT_INPUT
-    except (arch.CostConfigError, OSError, ValueError, KeyError) as exc:
+    except (arch.CostConfigError, OSError, emit.PlanFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except graph.PathExplosion as exc:
         print(f"error: {exc} (raise --max-paths?)", file=sys.stderr)
         return EXIT_PATHS
+    except Exception as exc:  # a fault of rmcfence, not of its input
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

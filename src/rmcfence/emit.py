@@ -135,7 +135,10 @@ def plans_to_json(plans):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-# The keys `plan_from_dict` reads from each item of each list.
+# The keys `plan_from_dict` needs in a plan, with their types.
+_PLAN_KEYS = (("function", str, "a string"), ("arch", str, "a string"), ("cost", int, "an integer"))
+
+# The keys `plan_from_dict` reads from each item of each list; every value is a string.
 _ITEM_KEYS = {
     "barriers": ("kind", "src", "dst", "anchor", "position"),
     "ctrl_uses": ("source", "src", "dst", "mode"),
@@ -144,28 +147,45 @@ _ITEM_KEYS = {
 }
 
 
+class PlanFormatError(ValueError):
+    """A plan document that is not JSON or not of the shape
+    `plans_to_json` writes."""
+
+
 def plans_from_json(text):
-    """Plans from a JSON array of plan objects, or from one plan object.
-    A document of any other shape raises ValueError."""
-    doc = json.loads(text)
+    """Plans from a JSON array of plan objects, or from one plan object,
+    given as str or bytes. A document that is not JSON, or of any other
+    shape, raises PlanFormatError."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise PlanFormatError(f"plan file is not JSON: {exc}") from None
     if isinstance(doc, dict):
         doc = [doc]
     if not isinstance(doc, list):
-        raise ValueError("plan file must hold a plan object or an array of them")
+        raise PlanFormatError("plan file must hold a plan object or an array of them")
     for i, d in enumerate(doc):
         if not isinstance(d, dict):
-            raise ValueError(f"plan {i} in the plan file is not an object")
-        for key in ("function", "arch", "cost"):
+            raise PlanFormatError(f"plan {i} in the plan file is not an object")
+        for key, kind, name in _PLAN_KEYS:
             if key not in d:
-                raise ValueError(f"plan {i} in the plan file has no {key!r}")
+                raise PlanFormatError(f"plan {i} in the plan file has no {key!r}")
+            if not isinstance(d[key], kind) or isinstance(d[key], bool):
+                raise PlanFormatError(f"plan {i} in the plan file: {key!r} is not {name}")
         for key, required in _ITEM_KEYS.items():
             items = d.get(key)
             if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
-                raise ValueError(f"plan {i} in the plan file: {key!r} is not a list of objects")
+                raise PlanFormatError(
+                    f"plan {i} in the plan file: {key!r} is not a list of objects"
+                )
             for j, item in enumerate(items):
                 for k in required:
                     if k not in item:
-                        raise ValueError(f"plan for {d['function']}: {key}[{j}] has no {k!r}")
+                        raise PlanFormatError(f"plan for {d['function']}: {key}[{j}] has no {k!r}")
+                    if not isinstance(item[k], str):
+                        raise PlanFormatError(
+                            f"plan for {d['function']}: {key}[{j}] {k!r} is not a string"
+                        )
     return [plan_from_dict(d) for d in doc]
 
 

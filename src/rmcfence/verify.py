@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import graph
 from .arch import CostTable
 from .emit import BarrierPlacement, PlacementPlan, edge_anchor
-from .ir import Action, Branch, Phi, PureOp, compute_dominators
+from .ir import Branch, Phi, PureOp, compute_dominators
 
 
 class CapExceeded(Exception):
@@ -80,25 +80,50 @@ class PlanChecker:
                 on_trail.discard(trail.pop())
         return found
 
-    # -- independent dependence walk (coinductive: on-stack counts as yes) --
+    # -- independent dependence walk (coinductive: on-chain counts as yes) --
 
-    def depends(self, src_action, operand, region, stack=frozenset()):
-        if not isinstance(operand, str):
-            return False
-        ins = self.defs.get(operand)
-        if ins is None:
-            return False
-        if isinstance(ins, Action):
-            return ins is src_action
-        if operand in stack:
-            return True
-        st = stack | {operand}
-        if isinstance(ins, PureOp):
-            return any(self.depends(src_action, a, region, st) for a in ins.args)
-        if isinstance(ins, Phi):
-            arms = [o for p, o in ins.arms if p in region]
-            return bool(arms) and all(self.depends(src_action, o, region, st) for o in arms)
-        return False
+    def depends(self, src_action, operand, region):
+        """Does `operand` carry src_action's value? An op does when one of
+        its arguments does, a phi when it has arms from `region` and every
+        one of them does. Coinductive: a value met again on the chain it
+        is being asked through counts as carrying it, so the answer is the
+        greatest solution of those rules. It is found by marking false
+        every value that cannot carry it and spreading that to the values
+        using it, one pass over the values `operand` is built from."""
+        seen, users = set(), {}  # users: value -> the values using it, once per use
+        live = {}  # op -> its arguments not yet known to fail
+        false = []  # values known not to carry it, their users still to visit
+        todo = [operand]
+        while todo:
+            v = todo.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            ins = self.defs.get(v) if isinstance(v, str) else None
+            args = ()
+            if isinstance(ins, PureOp):
+                args = ins.args
+            elif isinstance(ins, Phi):
+                args = [o for p, o in ins.arms if p in region]
+            for a in args:
+                users.setdefault(a, []).append(v)
+            todo.extend(args)
+            if isinstance(ins, PureOp) and args:
+                live[v] = len(args)
+            elif not (isinstance(ins, Phi) and args) and ins is not src_action:
+                false.append(v)
+        dead = set(false)
+        while false:
+            for u in users.get(false.pop(), ()):
+                if u in dead:
+                    continue
+                if u in live:
+                    live[u] -= 1
+                    if live[u]:
+                        continue
+                dead.add(u)
+                false.append(u)
+        return operand not in dead
 
     def region_of(self, path, bind):
         grow = lambda start, nbr: self._grow(start, nbr, bind)
@@ -340,7 +365,9 @@ def check_claims(cfg, costs, plan):
                        f" {b.position}, belongs at {' '.join(place)}")
     cost = plan_cost(cfg, costs, plan)
     if cost != plan.cost:
-        out.append(f"COST {name}: plan states {plan.cost}, its devices cost {cost}")
+        out.append(f"COST {name}: plan states {plan.cost}, its devices cost {cost} at the"
+                   " prices check was given (--costs/RMCFENCE_COSTS, --loop-factor);"
+                   " a plan compiled at other prices differs too")
     return out
 
 

@@ -1,8 +1,10 @@
 import json
+import os
+import stat
 
 import pytest
 
-from rmcfence import cli, ir
+from rmcfence import cli, encode, ir
 from conftest import ARCHES, CORPUS_NAMES, corpus_path, span_source
 
 
@@ -359,7 +361,9 @@ def test_branch_to_one_block_twice_keeps_both_edges(tmp_path, capsys):
                      ["MISPLACED recv: dmb on loop->done is at entry end, belongs at done begin"],
                      id="anchor"),
         pytest.param(lambda p: p.update(cost=1),
-                     ["COST recv: plan states 1, its devices cost 65"], id="cost"),
+                     ["COST recv: plan states 1, its devices cost 65 at the prices check was"
+                      " given (--costs/RMCFENCE_COSTS, --loop-factor); a plan compiled at"
+                      " other prices differs too"], id="cost"),
         pytest.param(lambda p: p["barriers"][0].update(src="done"),
                      ["NO EDGE recv: done->done"], id="no-edge"),
     ],
@@ -400,3 +404,150 @@ def test_xo_across_a_long_jump_chain(tmp_path, capsys):
     assert code == 0, err
     code, out, _ = run(capsys, "check", str(src), str(dest), "--arch", "armv7")
     assert (code, out) == (0, "OK\n")
+
+
+def test_cost_priced_at_other_prices_names_the_prices(tmp_path, capsys):
+    src, dest = str(corpus_path("ringbuf")), tmp_path / "plan.json"
+    costs = tmp_path / "costs.txt"
+    costs.write_text("dmb = 90\n")
+    code, _, _ = run(capsys, "compile", src, "--arch", "armv7", "--costs", str(costs),
+                     "--out", str(dest))
+    assert code == 0
+    code, out, _ = run(capsys, "check", src, str(dest), "--arch", "armv7", "--costs", str(costs))
+    assert (code, out) == (0, "OK\n")
+    code, out, _ = run(capsys, "check", src, str(dest), "--arch", "armv7")
+    (line,) = [v for v in out.splitlines() if v.startswith("COST buf_dequeue")]
+    assert code == cli.EXIT_INVALID
+    assert line.startswith("COST buf_dequeue: plan states 180, its devices cost 130 ")
+    assert "--costs" in line and "--loop-factor" in line
+
+
+def test_xo_data_use_through_a_long_op_chain(tmp_path, capsys):
+    # the checker's dependence walk must survive more values than Python's
+    # recursion limit; the dmb on the wrap-around edge orders r with itself
+    n = 1200
+    lines = ["func chain {", "edge xo r -> t;", "block b0:", "%v0 = read @x label r"]
+    lines += [f"%v{i} = op f(%v{i - 1})" for i in range(1, n + 1)]
+    lines += [f"%d = read *%v{n} label t", "ret %d", "}"]
+    src, dest = tmp_path / "ops.rmcir", tmp_path / "plan.json"
+    src.write_text("\n".join(lines))
+    dest.write_text(json.dumps([{
+        "arch": "armv7", "cost": 66, "function": "chain", "status": "optimal",
+        "barriers": [{"anchor": "b0.s3", "dst": "b0", "kind": "dmb", "position": "end",
+                      "src": "b0.s3"}],
+        "ctrl_uses": [], "data_uses": [{"bind": "-", "source": "a0", "target": "a1"}],
+        "modes": [],
+    }]))
+    code, out, err = run(capsys, "check", str(src), str(dest), "--arch", "armv7")
+    assert (code, out, err) == (0, "OK\n", "")
+
+
+# -- --out writes the file in place --
+
+
+@pytest.mark.parametrize("fmt", ["json", "annotated"])
+def test_out_over_a_longer_file_holds_exactly_stdout(tmp_path, capsys, fmt):
+    # without the truncate, the old file's tail would survive
+    src, dest = str(corpus_path("widget")), tmp_path / "plan.out"
+    dest.write_bytes(b"x" * 100_000)
+    code, out, _ = run(capsys, "compile", src, "--arch", "armv7", "--format", fmt)
+    assert code == 0
+    code, _, _ = run(capsys, "compile", src, "--arch", "armv7", "--format", fmt,
+                     "--out", str(dest))
+    assert code == 0 and dest.read_bytes() == out.encode("utf-8")
+
+
+def test_out_to_dev_null(capsys):
+    # /dev/null cannot be truncated (EINVAL); only regular files are
+    code, out, err = run(
+        capsys, "compile", str(corpus_path("mp")), "--arch", "armv7", "--out", os.devnull
+    )
+    assert (code, out, err) == (0, "", "")
+
+
+def test_out_creates_a_file_with_the_mode_open_gives(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        ref = tmp_path / "ref.json"
+        with open(ref, "w"):
+            pass
+        dest = tmp_path / "plan.json"
+        code, _, _ = run(
+            capsys, "compile", str(corpus_path("mp")), "--arch", "armv7", "--out", str(dest)
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(dest.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_out_that_cannot_be_written_is_an_input_error(tmp_path, capsys, where):
+    dest = tmp_path if where == "directory" else tmp_path / "missing" / "plan.json"
+    code, out, err = run(
+        capsys, "compile", str(corpus_path("mp")), "--arch", "armv7", "--out", str(dest)
+    )
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- exit codes: bad input 1, a fault of rmcfence 5 --
+
+
+@pytest.mark.parametrize("which", ["source", "costs", "plan"])
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, which):
+    src, dest = tmp_path / "mp.rmcir", tmp_path / "plan.json"
+    src.write_bytes(corpus_path("mp").read_bytes())
+    run(capsys, "compile", str(src), "--arch", "armv7", "--out", str(dest))
+    costs = tmp_path / "costs.txt"
+    costs.write_text("dmb = 65\n")
+    {"source": src, "costs": costs, "plan": dest}[which].write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run(capsys, "check", str(src), str(dest), "--arch", "armv7",
+                         "--costs", str(costs))
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        pytest.param(lambda p: p.update(cost="65"), "'cost' is not an integer", id="cost-string"),
+        pytest.param(lambda p: p.update(function=["recv"]), "'function' is not a string",
+                     id="function-list"),
+        pytest.param(lambda p: p["barriers"][0].update(kind=["dmb"]), "'kind' is not a string",
+                     id="kind-list"),
+    ],
+)
+def test_plan_field_of_the_wrong_type_is_an_input_error(tmp_path, capsys, spoil, message):
+    src, dest = str(corpus_path("mp")), tmp_path / "plan.json"
+    run(capsys, "compile", src, "--arch", "armv7", "--out", str(dest))
+    doc = json.loads(dest.read_text())
+    (recv,) = [plan for plan in doc if plan["function"] == "recv"]
+    spoil(recv)
+    dest.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", src, str(dest), "--arch", "armv7")
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_internal_key_error_exits_internal(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("b0.s1")
+
+    monkeypatch.setattr(encode, "build", broken)
+    code, out, err = run(capsys, "compile", str(corpus_path("mp")), "--arch", "armv7")
+    assert (code, out, err) == (cli.EXIT_INTERNAL, "", "internal error: KeyError: 'b0.s1'\n")
+
+
+def test_unsatisfiable_encoding_exits_internal(capsys, monkeypatch):
+    build = encode.build
+
+    def broken(*args, **kwargs):
+        problem = build(*args, **kwargs)
+        problem.asserts.append(("broken", encode.FALSE))
+        return problem
+
+    monkeypatch.setattr(encode, "build", broken)
+    code, out, err = run(capsys, "compile", str(corpus_path("mp")), "--arch", "armv7")
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err.startswith("internal error: Unsatisfiable: ") and err.count("\n") == 1

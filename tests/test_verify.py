@@ -10,7 +10,9 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
-from rmcfence import emit, graph, solver, verify
+from types import SimpleNamespace
+
+from rmcfence import emit, graph, ir, solver, verify
 from conftest import (
     ARCHES, CORPUS_NAMES, analyze, analyze_corpus, parse_valid, random_cut_source,
     random_problem, span_source,
@@ -233,3 +235,64 @@ def test_greedy_computes_no_weights_when_it_places_nothing(monkeypatch):
     for a in analyze_corpus("mp", "x86"):
         plan = verify.greedy(a.cfg, a.closed, a.boundaries, a.profile, a.costs)
         assert plan.barriers == [] and plan.cost == 0
+
+
+def recursive_depends(defs, src_action, operand, region, stack=frozenset()):
+    """Reference: the checker's dependence walk as it was written first,
+    one recursive call per value, a value on the current chain counting
+    as carrying the dependency."""
+    if not isinstance(operand, str):
+        return False
+    ins = defs.get(operand)
+    if ins is None:
+        return False
+    if isinstance(ins, ir.Action):
+        return ins is src_action
+    if operand in stack:
+        return True
+    st = stack | {operand}
+    if isinstance(ins, ir.PureOp):
+        return any(recursive_depends(defs, src_action, a, region, st) for a in ins.args)
+    if isinstance(ins, ir.Phi):
+        arms = [o for p, o in ins.arms if p in region]
+        return bool(arms) and all(recursive_depends(defs, src_action, o, region, st) for o in arms)
+    return False
+
+
+def random_value_graph(rng):
+    """Values %v0.. defined by the source read, other reads, ops and phis
+    over blocks b0..b3, each using any value (so phis and ops form
+    cycles), an undefined name or a constant."""
+    n = rng.randint(1, 8)
+    names = [f"%v{i}" for i in range(n)]
+    operands = names + ["%undef", 7]
+    src = ir.Action("a0", "read", defines="%src")
+    defs = {}
+    for name in names:
+        kind = rng.choice(["src", "read", "op", "op", "phi", "phi"])
+        if kind == "src":
+            defs[name] = src
+        elif kind == "read":
+            defs[name] = ir.Action(f"r{name}", "read", defines=name)
+        elif kind == "op":
+            args = tuple(rng.choice(operands) for _ in range(rng.randint(0, 3)))
+            defs[name] = ir.PureOp(name, "f", args)
+        else:
+            arms = tuple((f"b{rng.randint(0, 3)}", rng.choice(operands))
+                         for _ in range(rng.randint(1, 3)))
+            defs[name] = ir.Phi(name, arms)
+    region = {f"b{i}" for i in range(4) if rng.random() < 0.7}
+    return defs, src, operands, region
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=500, deadline=None)
+    def test_depends_equals_the_recursive_walk(seed):
+        defs, src, operands, region = random_value_graph(random.Random(seed))
+        checker = SimpleNamespace(defs=defs)
+        for v in operands:
+            assert verify.PlanChecker.depends(checker, src, v, region) == recursive_depends(
+                defs, src, v, region
+            ), (v, defs, region)
