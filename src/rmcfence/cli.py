@@ -127,10 +127,10 @@ def _load_inputs(args):
     return units, profile, costs, options
 
 
-def _encode_unit(unit, profile, costs, options):
+def _encode_unit(unit, profile, costs, options, weights=None):
     f, cfg, closed, boundaries = unit
     deps = DepAnalysis(cfg)
-    return encode.build(cfg, closed, boundaries, deps, profile, costs, options)
+    return encode.build(cfg, closed, boundaries, deps, profile, costs, options, weights)
 
 
 def _solve(problem, budget_ms):
@@ -256,7 +256,7 @@ def cmd_explain(args):
         for s, d, pseudo in cfg.edges:
             tag = " pseudo" if pseudo else ""
             out.append(f"    {s} -> {d}{tag}  depth={depths[(s, d)]} weight={weights[(s, d)]}")
-        problem = _encode_unit(unit, profile, costs, options)
+        problem = _encode_unit(unit, profile, costs, options, weights)
         if args.dump_problem:
             out.append("  outputs:")
             for v in problem.outputs:

@@ -9,7 +9,7 @@ the invocation and cannot carry an SSA value).
 
 from __future__ import annotations
 
-from .ir import Action, Branch, Phi, PureOp, compute_dominators
+from .ir import Action, Branch, Phi, PureOp, dominance
 
 
 class DepAnalysis:
@@ -23,7 +23,7 @@ class DepAnalysis:
                 if d:
                     self.defs[d] = ins
                     self.def_block[d] = bid
-        self._dom = None
+        self._dominates = None
         self._region_memo = {}
         self._depends_memo = {}
         self._ctrl_memo = {}
@@ -133,8 +133,6 @@ class DepAnalysis:
         return self.value_depends(src_action, term.cond, frozenset(self.cfg.blocks))
 
     def _strictly_dominated(self, block, by):
-        if self._dom is None:
-            self._dom = compute_dominators(
-                list(self.cfg.blocks), self.cfg.entry, lambda b: self.cfg.real_succ[b]
-            )
-        return block != by and by in self._dom[block]
+        if self._dominates is None:
+            self._dominates = dominance(self.cfg.entry, self.cfg.real_succ.__getitem__)
+        return block != by and self._dominates(by, block)

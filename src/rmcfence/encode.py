@@ -24,7 +24,7 @@ Only what a plan can change is encoded. On a profile where visibility
 and execution order are free (x86), every vo, xo and boundary
 constraint is the constant True: `build` emits no assertion or
 definition for them, and only pu is encoded. Edge weights are computed
-only when there is an output to cost.
+only when there is an output to cost, unless the caller passes them.
 
 Evaluation runs on a form compiled once per problem (`Compiled`, cached
 on the `Problem`): an assignment is an int bitmask over the positions in
@@ -135,13 +135,14 @@ def _and(parts):
 
 
 class Encoder:
-    def __init__(self, cfg, edges, boundaries, deps, profile, costs, options=None):
+    def __init__(self, cfg, edges, boundaries, deps, profile, costs, options=None, weights=None):
         self.cfg = cfg
         self.edges = edges
         self.boundaries = boundaries
         self.deps = deps
         self.profile = profile
         self.costs = costs
+        self.weights = weights  # graph.edge_weights at costs.loop_factor, if the caller has it
         self.opt = options or EncodeOptions()
         self.defs = {}
         self.asserts = []
@@ -399,7 +400,9 @@ class Encoder:
     def _cost_terms(self):
         if not self.vars:
             return []
-        weights = graph.edge_weights(self.cfg, self.costs.loop_factor)
+        weights = self.weights
+        if weights is None:
+            weights = graph.edge_weights(self.cfg, self.costs.loop_factor)
         terms = []
         in_w = {}
         for s, d, _ in self.cfg.edges:
@@ -425,8 +428,8 @@ class Encoder:
         return terms
 
 
-def build(cfg, edges, boundaries, deps, profile, costs, options=None):
-    return Encoder(cfg, edges, boundaries, deps, profile, costs, options).build()
+def build(cfg, edges, boundaries, deps, profile, costs, options=None, weights=None):
+    return Encoder(cfg, edges, boundaries, deps, profile, costs, options, weights).build()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 # Operands are either SSA value ids (str, without the % sigil) or int literals.
 Operand = "int | str"
@@ -160,26 +159,36 @@ def predecessor_map(func):
 
 
 # Each match is the whitespace and comments before one token, then the
-# token; `bad` catches any character no token can start with.
+# token, the one group: a word, a punctuation character, a value, an
+# integer, an arrow, the empty string at the end of the text, or any
+# other single character, which no grammar rule accepts. No text matches
+# two of the first five, so their order (most frequent first) does not
+# change what matches. After trailing whitespace the end of the text
+# matches twice.
 _TOKEN_RE = re.compile(
     r"""
     (?:\s+|\#[^\n]*|;;[^\n]*)*
-    (?:(?P<val>%[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<int>-?\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<arrow>->)
-  | (?P<punct>[{}:;?,\[\]()@*=])
-  | (?P<eof>\Z)
-  | (?P<bad>.))
+    ( [A-Za-z_][A-Za-z_0-9]*
+    | [{}:;?,\[\]()@*=]
+    | %[A-Za-z_][A-Za-z_0-9]*
+    | -?\d+
+    | ->
+    | \Z
+    | . )
     """,
     re.VERBOSE,
 )
+_PUNCT = "{}:;?,[]()@*="
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-class _Tok(NamedTuple):
-    kind: str
-    text: str
-    pos: int  # offset into the source; line and column are derived on error
+def _is_value(t):
+    return t[:1] == "%" and len(t) > 1  # a lone % is a bad character
+
+
+def _is_int(t):
+    # \d is str.isdecimal; a lone - is a bad character
+    return t.isdecimal() or (t[:1] == "-" and t[1:].isdecimal())
 
 
 def _diagnostic_at(text, pos, msg):
@@ -187,274 +196,319 @@ def _diagnostic_at(text, pos, msg):
     return Diagnostic(line, pos - text.rfind("\n", 0, pos), msg)
 
 
-def _tokenize(text):
-    new = tuple.__new__  # skips the NamedTuple constructor's Python frame
-    toks = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            msg = f"unexpected character {m[kind]!r}"
-            raise ParseError([_diagnostic_at(text, m.start(kind), msg)])
-        toks.append(new(_Tok, (kind, m[kind], m.start(kind))))
-        if kind == "eof":
-            return toks
+def _diagnostic(text, i, msg):
+    """`msg` at the position of token i, unless the text holds a bad
+    character: then the first of those, which is where tokenizing would
+    stop before any parsing. No grammar rule accepts a bad character, so
+    a text that holds one always reaches here."""
+    for k, m in enumerate(_TOKEN_RE.finditer(text)):
+        t = m[1]
+        if len(t) == 1 and t not in _PUNCT and t not in _WORD_START and not t.isdecimal():
+            return _diagnostic_at(text, m.start(1), f"unexpected character {t!r}")
+        if k == i:
+            pos = m.start(1)
+        if not t:
+            break
+    return _diagnostic_at(text, pos, msg)
 
 
 class _Parser:
+    """Recursive descent over the token strings of one source text.
+
+    Each rule takes the index of its first token and returns the index
+    after its last one. A token's kind is read from its first character,
+    and the end of the text is the empty string, so a rule looks one
+    token past another only once that one has been checked. Only a
+    diagnostic needs a position; `fail` computes it.
+    """
+
     def __init__(self, text):
         self.text = text
-        self.toks = _tokenize(text)
-        self.i = 0
+        self.toks = _TOKEN_RE.findall(text)
 
-    def peek(self):
-        return self.toks[self.i]
+    def fail(self, i, msg):
+        raise ParseError([_diagnostic(self.text, i, msg)])
 
-    def next(self):
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
+    def expected(self, i, what):
+        self.fail(i, f"expected {what}, found {self.toks[i] or 'end of input'!r}")
+
+    def word(self, i, what):
+        t = self.toks[i]
+        if t[:1] not in _WORD_START:
+            self.expected(i, what)
         return t
-
-    def error(self, tok, msg):
-        raise ParseError([_diagnostic_at(self.text, tok.pos, msg)])
-
-    def expect(self, text=None, kind=None, what=None):
-        t = self.next()
-        if text is not None and t.text != text:
-            self.error(t, f"expected {what or text!r}, found {t.text or 'end of input'!r}")
-        if kind is not None and t.kind != kind:
-            self.error(t, f"expected {what or kind}, found {t.text or 'end of input'!r}")
-        return t
-
-    def at(self, text):
-        return self.peek().text == text
 
     # -- grammar --
 
     def parse_file(self):
+        toks = self.toks
         funcs = []
         names = set()
-        while self.peek().kind != "eof":
-            t = self.expect("func")
-            name = self.expect(kind="ident", what="function name")
-            if name.text in names:
-                self.error(name, f"duplicate function {name.text!r}")
-            names.add(name.text)
-            funcs.append(self.parse_func(name.text))
+        i = 0
+        while toks[i]:
+            if toks[i] != "func":
+                self.expected(i, "'func'")
+            name = self.word(i + 1, "function name")
+            if name in names:
+                self.fail(i + 1, f"duplicate function {name!r}")
+            names.add(name)
+            i = self.parse_func(i + 2, name, funcs)
         return funcs
 
-    def parse_func(self, name):
-        self.expect("{")
+    def parse_func(self, i, name, funcs):
+        toks = self.toks
+        if toks[i] != "{":
+            self.expected(i, "'{'")
+        i += 1
         decls = []
-        while self.at("edge"):
-            decls.append(self.parse_decl())
+        binds = []  # (bind point, token index) of each scoped declaration
+        while toks[i] == "edge":
+            i = self.parse_decl(i + 1, decls, binds)
         blocks = {}
-        self._action_n = 0
-        self._value_defs = {}
-        self._bind_ids = {}
-        uses = []  # (value id, tok) to resolve after the function body
-        block_refs = []
-        self._uses = uses
-        self._block_refs = block_refs
-        if not self.at("block"):
-            self.error(self.peek(), "expected 'block'")
-        while self.at("block"):
-            blk = self.parse_block()
-            if blk.id in blocks:
-                self.error(self._blk_tok, f"duplicate block {blk.id!r}")
-            blocks[blk.id] = blk
-        self.expect("}")
-        for vid, tok in uses:
-            if vid not in self._value_defs:
-                self.error(tok, f"undefined value %{vid}")
-        for bid, tok in block_refs:
+        self.action_n = 0
+        self.value_defs = set()
+        self.bind_ids = set()
+        self.uses = []  # (value id, token index) to resolve after the body
+        self.block_refs = []  # (block id, token index)
+        if toks[i] != "block":
+            self.fail(i, "expected 'block'")
+        while toks[i] == "block":
+            i = self.parse_block(i + 1, blocks)
+        if toks[i] != "}":
+            self.expected(i, "'}'")
+        for vid, k in self.uses:
+            if vid not in self.value_defs:
+                self.fail(k, f"undefined value %{vid}")
+        for bid, k in self.block_refs:
             if bid not in blocks:
-                self.error(tok, f"undefined block {bid!r}")
-        for decl in decls:
-            if decl.bind is not None and decl.bind not in self._bind_ids:
-                raise ParseError(
-                    [Diagnostic(1, 1, f"undefined bind point {decl.bind!r} in function {name!r}")]
-                )
-        entry = next(iter(blocks))
-        return FunctionIR(name=name, decls=decls, blocks=blocks, entry=entry)
+                self.fail(k, f"undefined block {bid!r}")
+        for bind, k in binds:
+            if bind not in self.bind_ids:
+                self.fail(k, f"undefined bind point {bind!r} in function {name!r}")
+        funcs.append(FunctionIR(name=name, decls=decls, blocks=blocks, entry=next(iter(blocks))))
+        return i + 1
 
-    def parse_decl(self):
-        self.expect("edge")
-        kt = self.next()
-        if kt.text not in EDGE_KINDS:
-            self.error(kt, f"expected edge kind vo/xo/pu, found {kt.text!r}")
+    def parse_decl(self, i, decls, binds):
+        toks = self.toks
+        kind = toks[i]
+        if kind not in EDGE_KINDS:
+            self.fail(i, f"expected edge kind vo/xo/pu, found {kind!r}")
+        i += 1
         bind = None
-        if self.at("here"):
-            self.next()
-            self.expect("(")
-            bind = self.expect(kind="ident").text
-            self.expect(")")
-        src = self.expect(kind="ident", what="source tag")
-        self.expect("->")
-        dst = self.expect(kind="ident", what="destination tag")
-        self.expect(";")
-        if src.text == "post":
-            self.error(src, "reserved tag 'post' may only appear as a destination")
-        if dst.text == "pre":
-            self.error(dst, "reserved tag 'pre' may only appear as a source")
-        if src.text == "pre" and dst.text == "post":
-            self.error(src, "'pre' and 'post' may not appear in the same declaration")
-        if bind is not None and (src.text in RESERVED_TAGS or dst.text in RESERVED_TAGS):
-            self.error(src, "pre/post declarations may not carry a binding point")
-        return ConstraintDecl(kind=kt.text, src=src.text, dst=dst.text, bind=bind)
+        if toks[i] == "here":
+            if toks[i + 1] != "(":
+                self.expected(i + 1, "'('")
+            bind = self.word(i + 2, "ident")
+            binds.append((bind, i + 2))
+            if toks[i + 3] != ")":
+                self.expected(i + 3, "')'")
+            i += 4
+        src = self.word(i, "source tag")
+        if toks[i + 1] != "->":
+            self.expected(i + 1, "'->'")
+        dst = self.word(i + 2, "destination tag")
+        if toks[i + 3] != ";":
+            self.expected(i + 3, "';'")
+        if src == "post":
+            self.fail(i, "reserved tag 'post' may only appear as a destination")
+        if dst == "pre":
+            self.fail(i + 2, "reserved tag 'pre' may only appear as a source")
+        if src == "pre" and dst == "post":
+            self.fail(i, "'pre' and 'post' may not appear in the same declaration")
+        if bind is not None and (src in RESERVED_TAGS or dst in RESERVED_TAGS):
+            self.fail(i, "pre/post declarations may not carry a binding point")
+        decls.append(ConstraintDecl(kind=kind, src=src, dst=dst, bind=bind))
+        return i + 4
 
-    def parse_block(self):
-        self.expect("block")
-        self._blk_tok = self.expect(kind="ident", what="block id")
-        bid = self._blk_tok.text
-        self.expect(":")
+    def parse_block(self, i, blocks):
+        toks = self.toks
+        bid = self.word(i, "block id")
+        if toks[i + 1] != ":":
+            self.expected(i + 1, "':'")
+        id_at = i
+        i += 2
         instrs = []
         while True:
-            t = self.peek()
-            if t.text in ("jmp", "br", "ret"):
-                term = self.parse_term()
-                return BasicBlock(id=bid, instrs=instrs, term=term)
-            if t.text in ("block", "}") or t.kind == "eof":
-                self.error(t, f"block {bid!r} is missing a terminator")
-            instrs.append(self.parse_instr())
+            t = toks[i]
+            if t == "jmp" or t == "br" or t == "ret":
+                break
+            if t == "block" or t == "}" or not t:
+                self.fail(i, f"block {bid!r} is missing a terminator")
+            i = self.parse_instr(i, instrs)
+        refs = self.block_refs
+        if t == "jmp":
+            tgt = self.word(i + 1, "jump target")
+            refs.append((tgt, i + 1))
+            term = Jump(tgt)
+            i += 2
+        elif t == "br":
+            cond = self.operand(i + 1)
+            if toks[i + 2] != "?":
+                self.expected(i + 2, "'?'")
+            then = self.word(i + 3, "branch target")
+            if toks[i + 4] != ":":
+                self.expected(i + 4, "':'")
+            els = self.word(i + 5, "branch target")
+            refs.append((then, i + 3))
+            refs.append((els, i + 5))
+            term = Branch(cond, then, els)
+            i += 6
+        else:
+            val = None
+            i += 1
+            if _is_value(toks[i]) or _is_int(toks[i]):
+                val = self.operand(i)
+                i += 1
+            term = Ret(val)
+        if bid in blocks:
+            self.fail(id_at, f"duplicate block {bid!r}")
+        blocks[bid] = BasicBlock(id=bid, instrs=instrs, term=term)
+        return i
 
-    def def_value(self, tok):
-        vid = tok.text[1:]
-        if vid in self._value_defs:
-            self.error(tok, f"duplicate definition of %{vid}")
-        self._value_defs[vid] = tok
+    def def_value(self, i):
+        vid = self.toks[i][1:]
+        if vid in self.value_defs:
+            self.fail(i, f"duplicate definition of %{vid}")
+        self.value_defs.add(vid)
         return vid
 
-    def operand(self):
-        t = self.next()
-        if t.kind == "val":
-            self._uses.append((t.text[1:], t))
-            return t.text[1:]
-        if t.kind == "int":
-            return int(t.text)
-        self.error(t, f"expected operand, found {t.text!r}")
+    def operand(self, i):
+        t = self.toks[i]
+        if _is_value(t):
+            self.uses.append((t[1:], i))
+            return t[1:]
+        if _is_int(t):
+            return int(t)
+        self.fail(i, f"expected operand, found {t!r}")
 
-    def parse_loc(self):
-        t = self.next()
-        if t.text == "@":
-            return Global(self.expect(kind="ident").text)
-        if t.text == "*":
-            v = self.expect(kind="val", what="pointer value")
-            self._uses.append((v.text[1:], v))
-            return Deref(v.text[1:])
-        self.error(t, "expected location (@name or *%value)")
+    def loc(self, i):
+        """The two-token location at token i."""
+        t = self.toks[i]
+        if t == "@":
+            return Global(self.word(i + 1, "ident"))
+        if t == "*":
+            v = self.toks[i + 1]
+            if not _is_value(v):
+                self.expected(i + 1, "pointer value")
+            self.uses.append((v[1:], i + 1))
+            return Deref(v[1:])
+        self.fail(i, "expected location (@name or *%value)")
 
-    def parse_tag(self, required=False):
-        if self.at("label"):
-            self.next()
-            t = self.expect(kind="ident", what="label tag")
-            if t.text in RESERVED_TAGS:
-                self.error(t, f"tag {t.text!r} is reserved")
-            return (t.text,)
-        if required:
-            self.error(self.peek(), "noop requires a label")
-        return ()
+    def label(self, i):
+        """The tag of the `label` at token i - 1."""
+        t = self.word(i, "label tag")
+        if t in RESERVED_TAGS:
+            self.fail(i, f"tag {t!r} is reserved")
+        return (t,)
 
-    def _fresh_action(self, **kw):
-        aid = f"a{self._action_n}"
-        self._action_n += 1
+    def action(self, **kw):
+        aid = f"a{self.action_n}"
+        self.action_n += 1
         return Action(id=aid, **kw)
 
-    def parse_instr(self):
-        t = self.peek()
-        if t.text == "write":
-            self.next()
-            loc = self.parse_loc()
-            data = self.operand()
-            labels = self.parse_tag()
-            return self._fresh_action(kind="write", loc=loc, data=data, labels=labels)
-        if t.text == "push":
-            self.next()
-            return self._fresh_action(kind="push", labels=self.parse_tag())
-        if t.text == "noop":
-            self.next()
-            return self._fresh_action(kind="noop", labels=self.parse_tag(required=True))
-        if t.text == "bind":
-            self.next()
-            bt = self.expect(kind="ident", what="bind id")
-            if bt.text in self._bind_ids:
-                self.error(bt, f"duplicate bind id {bt.text!r}")
-            self._bind_ids[bt.text] = bt
-            return Bind(id=bt.text)
-        if t.kind == "val":
-            vt = self.next()
-            self.expect("=")
-            op = self.next()
-            if op.text == "read":
-                loc = self.parse_loc()
-                labels = self.parse_tag()
-                return self._fresh_action(
-                    kind="read", loc=loc, defines=self.def_value(vt), labels=labels
-                )
-            if op.text == "rmw":
-                loc = self.parse_loc()
-                rop = self.next()
-                if rop.text not in RMW_OPS:
-                    self.error(rop, f"expected rmw operator xchg/add, found {rop.text!r}")
-                data = self.operand()
-                labels = self.parse_tag()
-                return self._fresh_action(
+    def parse_instr(self, i, instrs):
+        toks = self.toks
+        t = toks[i]
+        if t == "write":
+            loc = self.loc(i + 1)
+            data = self.operand(i + 3)
+            i += 4
+            labels = ()
+            if toks[i] == "label":
+                labels = self.label(i + 1)
+                i += 2
+            instrs.append(self.action(kind="write", loc=loc, data=data, labels=labels))
+            return i
+        if t == "push" or t == "noop":
+            i += 1
+            labels = ()
+            if toks[i] == "label":
+                labels = self.label(i + 1)
+                i += 2
+            elif t == "noop":
+                self.fail(i, "noop requires a label")
+            instrs.append(self.action(kind=t, labels=labels))
+            return i
+        if t == "bind":
+            b = self.word(i + 1, "bind id")
+            if b in self.bind_ids:
+                self.fail(i + 1, f"duplicate bind id {b!r}")
+            self.bind_ids.add(b)
+            instrs.append(Bind(id=b))
+            return i + 2
+        if not _is_value(t):
+            self.fail(i, f"expected instruction, found {t or 'end of input'!r}")
+        if toks[i + 1] != "=":
+            self.expected(i + 1, "'='")
+        vi = i
+        op = toks[i + 2]
+        if op == "read" or op == "rmw":
+            loc = self.loc(i + 3)
+            i += 5
+            if op == "rmw":
+                rop = toks[i]
+                if rop not in RMW_OPS:
+                    self.fail(i, f"expected rmw operator xchg/add, found {rop!r}")
+                data = self.operand(i + 1)
+                i += 2
+            labels = ()
+            if toks[i] == "label":
+                labels = self.label(i + 1)
+                i += 2
+            if op == "read":
+                ins = self.action(kind="read", loc=loc, defines=self.def_value(vi), labels=labels)
+            else:
+                ins = self.action(
                     kind="rmw",
                     loc=loc,
-                    rmw_op=rop.text,
+                    rmw_op=rop,
                     data=data,
-                    defines=self.def_value(vt),
+                    defines=self.def_value(vi),
                     labels=labels,
                 )
-            if op.text == "op":
-                name = self.expect(kind="ident", what="op name")
-                self.expect("(")
-                args = []
-                if not self.at(")"):
-                    args.append(self.operand())
-                    while self.at(","):
-                        self.next()
-                        args.append(self.operand())
-                self.expect(")")
-                return PureOp(defines=self.def_value(vt), op=name.text, args=tuple(args))
-            if op.text == "phi":
-                arms = [self.parse_phi_arm()]
-                while self.at(","):
-                    self.next()
-                    arms.append(self.parse_phi_arm())
-                return Phi(defines=self.def_value(vt), arms=tuple(arms))
-            self.error(op, f"expected read/rmw/op/phi, found {op.text!r}")
-        self.error(t, f"expected instruction, found {t.text or 'end of input'!r}")
+        elif op == "op":
+            name = self.word(i + 3, "op name")
+            if toks[i + 4] != "(":
+                self.expected(i + 4, "'('")
+            i += 5
+            args = []
+            if toks[i] != ")":
+                args.append(self.operand(i))
+                i += 1
+                while toks[i] == ",":
+                    args.append(self.operand(i + 1))
+                    i += 2
+            if toks[i] != ")":
+                self.expected(i, "')'")
+            i += 1
+            ins = PureOp(defines=self.def_value(vi), op=name, args=tuple(args))
+        elif op == "phi":
+            arms = []
+            i += 2
+            while True:
+                i = self.parse_phi_arm(i + 1, arms)
+                if toks[i] != ",":
+                    break
+            ins = Phi(defines=self.def_value(vi), arms=tuple(arms))
+        else:
+            self.fail(i + 2, f"expected read/rmw/op/phi, found {op!r}")
+        instrs.append(ins)
+        return i
 
-    def parse_phi_arm(self):
-        self.expect("[")
-        blk = self.expect(kind="ident", what="predecessor block")
-        self._block_refs.append((blk.text, blk))
-        self.expect(":")
-        opnd = self.operand()
-        self.expect("]")
-        return (blk.text, opnd)
-
-    def parse_term(self):
-        t = self.next()
-        if t.text == "jmp":
-            tgt = self.expect(kind="ident", what="jump target")
-            self._block_refs.append((tgt.text, tgt))
-            return Jump(tgt.text)
-        if t.text == "br":
-            cond = self.operand()
-            self.expect("?")
-            then = self.expect(kind="ident", what="branch target")
-            self.expect(":")
-            els = self.expect(kind="ident", what="branch target")
-            self._block_refs.append((then.text, then))
-            self._block_refs.append((els.text, els))
-            return Branch(cond, then.text, els.text)
-        # ret
-        val = None
-        if self.peek().kind in ("val", "int"):
-            val = self.operand()
-        return Ret(val)
+    def parse_phi_arm(self, i, arms):
+        """The arm after token i - 1 (`phi` or `,`)."""
+        toks = self.toks
+        if toks[i] != "[":
+            self.expected(i, "'['")
+        blk = self.word(i + 1, "predecessor block")
+        self.block_refs.append((blk, i + 1))
+        if toks[i + 2] != ":":
+            self.expected(i + 2, "':'")
+        opnd = self.operand(i + 3)
+        if toks[i + 4] != "]":
+            self.expected(i + 4, "']'")
+        arms.append((blk, opnd))
+        return i + 5
 
 
 def parse(text):
@@ -558,18 +612,21 @@ def depth_first(entry, succ):
     return order, pre, post, retreating
 
 
-def compute_dominators(block_ids, entry, succ):
-    """Dominator sets, dict block -> set of the blocks that dominate it.
+def dominance(entry, succ):
+    """The dominance relation of the blocks reachable from `entry`, as a
+    function `dominates(a, b)`: does every path from `entry` to b pass
+    through a? Every block dominates itself.
 
     Cooper, Harvey & Kennedy, "A Simple, Fast Dominance Algorithm"
     (2001): number the blocks in reverse postorder of a depth-first
-    search from `entry`, iterate each block's immediate dominator with
-    the two-finger intersect on those numbers until none changes, then
-    build the sets in reverse postorder, each its immediate dominator's
-    plus the block itself. The result is defined for the blocks reachable
-    from `entry`, and every block in `block_ids` must be one: `validate`
-    rejects unreachable blocks before it asks, and the real edges of a
-    normalized CFG reach every block.
+    search from `entry` and iterate each block's immediate dominator with
+    the two-finger intersect on those numbers until none changes. Then
+    lay the dominator tree out in preorder: a block's subtree is the
+    interval from its own number to the last of its descendants, and a
+    dominates b exactly when b's number falls in a's interval. Both
+    arguments must be reachable from `entry`: `validate` rejects
+    unreachable blocks before it asks, and the real edges of a normalized
+    CFG reach every block.
     """
     order = depth_first(entry, succ)[0]
     num = {b: i for i, b in enumerate(order)}
@@ -600,12 +657,26 @@ def compute_dominators(block_ids, entry, succ):
                 idom[i] = new
                 changed = True
 
-    sets = [{entry}]
+    # A block's immediate dominator comes before it in reverse postorder,
+    # so one backward pass sizes every subtree and one forward pass gives
+    # each child the next free slot in its parent's interval.
+    size = [1] * len(order)
+    for i in range(len(order) - 1, 0, -1):
+        size[idom[i]] += size[i]
+    first = [0] * len(order)
+    free = [1] * len(order)  # next unused preorder number inside each subtree
     for i in range(1, len(order)):
-        d = set(sets[idom[i]])
-        d.add(order[i])
-        sets.append(d)
-    return {b: sets[num[b]] for b in block_ids}
+        d = idom[i]
+        first[i] = free[d]
+        free[d] += size[i]
+        free[i] = first[i] + 1
+    lo = {b: first[i] for i, b in enumerate(order)}
+    hi = {b: first[i] + size[i] for i, b in enumerate(order)}
+
+    def dominates(a, b):
+        return lo[a] <= lo[b] < hi[a]
+
+    return dominates
 
 
 def validate(func):
@@ -632,9 +703,7 @@ def validate(func):
     if diags:
         return diags
 
-    dom = compute_dominators(
-        list(func.blocks), func.entry, lambda b: successors(func.blocks[b].term)
-    )
+    dominates = dominance(func.entry, lambda b: successors(func.blocks[b].term))
 
     # Where is each value defined?
     def_site = {}  # value -> (block, index)
@@ -649,7 +718,7 @@ def validate(func):
         if dblk == bid:
             if didx >= idx:
                 bad(f"use of %{vid} in {what} precedes its definition in block {bid!r}")
-        elif dblk not in dom[bid]:
+        elif not dominates(dblk, bid):
             bad(f"use of %{vid} in {what} is not dominated by its definition")
 
     def operand_uses(ins):
@@ -676,7 +745,7 @@ def validate(func):
                 for p, o in ins.arms:
                     if isinstance(o, str) and p in func.blocks:
                         dblk, _ = def_site[o]
-                        if dblk != p and dblk not in dom.get(p, set()):
+                        if not dominates(dblk, p):
                             bad(f"phi arm %{o} from {p!r} is not dominated by its definition")
             else:
                 in_phis = False

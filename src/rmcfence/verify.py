@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import graph
 from .arch import CostTable
 from .emit import BarrierPlacement, PlacementPlan, edge_anchor
-from .ir import Branch, Phi, PureOp, compute_dominators
+from .ir import Branch, Phi, PureOp, dominance
 
 
 class CapExceeded(Exception):
@@ -51,7 +51,7 @@ class PlanChecker:
             for ins in blk.instrs:
                 if getattr(ins, "defines", None):
                     self.defs[ins.defines] = ins
-        self._dom = None
+        self._dominates = None
         self._self_memo = {}
 
     # -- independent path walk (depth-first; cycles when a == b) --
@@ -197,12 +197,10 @@ class PlanChecker:
             ):
                 return True
         if key + ("synth",) in self.ctrl_uses:
-            if self._dom is None:
-                self._dom = compute_dominators(
-                    list(self.cfg.blocks), self.cfg.entry, lambda b: self.cfg.real_succ[b]
-                )
+            if self._dominates is None:
+                self._dominates = dominance(self.cfg.entry, self.cfg.real_succ.__getitem__)
             sblk = self.cfg.action_block[s_action.id]
-            return e[0] != sblk and sblk in self._dom[e[0]]
+            return e[0] != sblk and self._dominates(sblk, e[0])
         return False
 
     def _data_dep(self, bind, s_action, t_action, path):

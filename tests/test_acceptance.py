@@ -48,8 +48,7 @@ def test_criterion_2_conditional_barrier_inside_the_arm():
     (b,) = plan.barriers
     succ = a.cfg.real_succ
     branch_block = next(bb for bb in a.cfg.blocks if len(succ[bb]) == 2)
-    dom = ir.compute_dominators(list(a.cfg.blocks), a.cfg.entry, lambda x: succ[x])
-    assert branch_block in dom[b.dst]
+    assert ir.dominance(a.cfg.entry, succ.__getitem__)(branch_block, b.dst)
     assert a.cfg.block_origin[b.dst][0] == "hot"  # lands in the taken arm
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0

@@ -4,7 +4,7 @@ import stat
 
 import pytest
 
-from rmcfence import cli, encode, ir
+from rmcfence import cli, encode, graph, ir
 from conftest import ARCHES, CORPUS_NAMES, corpus_path, span_source
 
 
@@ -186,6 +186,21 @@ def test_explain_dump_problem(capsys):
     )
     assert code == 0
     assert "assertions:" in out and "vcut" in out
+
+
+@pytest.mark.parametrize("arch_name", ARCHES)
+def test_explain_weighs_each_function_once(capsys, monkeypatch, arch_name):
+    calls = []
+    real = graph.weights_and_depths
+
+    def counted(cfg, *args):
+        calls.append(cfg.func.name)
+        return real(cfg, *args)
+
+    monkeypatch.setattr(graph, "weights_and_depths", counted)
+    code, _, _ = run(capsys, "explain", str(corpus_path("mp")), "--arch", arch_name)
+    assert code == 0
+    assert sorted(calls) == sorted(f.name for f in ir.parse(corpus_path("mp").read_text()))
 
 
 def test_oracle_agreement(capsys):

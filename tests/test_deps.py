@@ -2,7 +2,7 @@ from rmcfence import ir
 from rmcfence.deps import DepAnalysis
 from rmcfence.emit import PlacementPlan
 from rmcfence.verify import PlanChecker
-from conftest import CORPUS_NAMES, load_corpus, parse_valid
+from conftest import CORPUS_NAMES, load_corpus, naive_dominators, parse_valid
 
 
 def _setup(text):
@@ -149,7 +149,7 @@ def test_can_ctrl_synth_needs_strict_domination():
 
 
 def _doms(cfg):
-    return ir.compute_dominators(list(cfg.blocks), cfg.entry, lambda b: cfg.real_succ[b])
+    return naive_dominators(list(cfg.blocks), cfg.entry, cfg.real_succ.__getitem__)
 
 
 def test_value_depends_agrees_with_independent_walk():
