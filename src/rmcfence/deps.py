@@ -25,6 +25,7 @@ class DepAnalysis:
                     self.def_block[d] = bid
         self._dominates = None
         self._region_memo = {}
+        self._reach_memo = {}
         self._depends_memo = {}
         self._ctrl_memo = {}
         self._data_memo = {}
@@ -36,23 +37,28 @@ class DepAnalysis:
         key = (path, bind)
         region = self._region_memo.get(key)
         if region is None:
-            head, tail = path[0], path[-1]
-            fwd = self._reach(head, self.cfg.real_succ, bind)
-            bwd = self._reach(tail, self.cfg.real_pred, bind)
-            region = frozenset((fwd & bwd) | set(path))
+            fwd = self._reach(path[0], True, bind)
+            bwd = self._reach(path[-1], False, bind)
+            region = (fwd & bwd).union(path)
             self._region_memo[key] = region
         return region
 
-    def _reach(self, start, nbr, avoid):
-        """Blocks reachable from `start` through the neighbour map `nbr`
-        without entering `avoid`."""
-        out, stack = set(), [start]
-        while stack:
-            b = stack.pop()
-            if b in out or b == avoid:
-                continue
-            out.add(b)
-            stack.extend(nbr[b])
+    def _reach(self, start, forward, avoid):
+        """The frozenset of blocks reachable from `start` over real edges,
+        forward or backward, without entering `avoid`. Paths share their
+        ends, so each answer is kept."""
+        key = (start, forward, avoid)
+        out = self._reach_memo.get(key)
+        if out is None:
+            nbr = self.cfg.real_succ if forward else self.cfg.real_pred
+            seen, stack = set(), [start]
+            while stack:
+                b = stack.pop()
+                if b in seen or b == avoid:
+                    continue
+                seen.add(b)
+                stack.extend(nbr[b])
+            out = self._reach_memo[key] = frozenset(seen)
         return out
 
     # -- value dependence ---------------------------------------------------

@@ -30,19 +30,27 @@ Evaluation runs on a form compiled once per problem (`Compiled`, cached
 on the `Problem`): an assignment is an int bitmask over the positions in
 `problem.outputs`, and every def, nested and/or and assertion is a flat
 row (slot, is_and, out_mask, child slots) whose output leaves fold into
-one mask test. The rows follow the strongly connected components of the
-def graph (`graph.sccs`) in dependency order. A def that does not refer
-to itself, directly or through others, is evaluated once. A cyclic
-component starts at True and descends locally, re-evaluating its rows
-until no def changes; its inputs from earlier components are already
-final. The formula is monotone, so this is the whole system's greatest
-fixpoint. `def_values`, `failed_assertions` and `satisfies` take sets of
-OutputVars and turn them into a mask; the solver works on masks.
+one mask test. One walk over each def yields its rows, the defs it
+names, and the facts `solver.dominated` reads; the strongly connected
+components of those names (`graph.sccs`) then order the rows,
+dependencies first. A def that does not refer to itself, directly or
+through others, is evaluated once. A cyclic component, its members in
+def order whatever the hash seed, starts at True and descends locally,
+re-evaluating its rows until no def changes; its inputs from earlier
+components are already final. The formula is monotone, so this is the
+whole system's greatest fixpoint. `def_values`, `failed_assertions` and
+`satisfies` take sets of OutputVars and turn them into a mask; the
+solver works on masks.
+
+Outputs are tuples (`OutputVar` is a NamedTuple), so hashing, comparing
+and sorting them runs in C, and the encoder makes one `("out", v)` term
+per barrier and reuses it wherever that barrier occurs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import graph
 
@@ -50,18 +58,9 @@ TRUE = ("const", True)
 FALSE = ("const", False)
 
 
-@dataclass(frozen=True, order=True)
-class OutputVar:
+class OutputVar(NamedTuple):
     kind: str  # barrier | use_ctrl | use_data | acquire | release
     detail: tuple
-
-    # Every ("out", v) leaf the solver evaluates is a set lookup: hash
-    # once, with the value the generated __hash__ would give.
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind, self.detail)))
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         if self.kind == "barrier":
@@ -147,6 +146,7 @@ class Encoder:
         self.defs = {}
         self.asserts = []
         self.vars = set()
+        self._barrier_terms = {}  # (kind id, src, dst) -> its ("out", v) term
         self._path_ids = {}
         self._building = set()
         self._paths_memo = {}
@@ -174,9 +174,12 @@ class Encoder:
         return got
 
     def _barrier(self, kind_id, edge):
-        v = OutputVar("barrier", (kind_id, edge[0], edge[1]))
-        self.vars.add(v)
-        return ("out", v)
+        key = (kind_id, edge[0], edge[1])
+        term = self._barrier_terms.get(key)
+        if term is None:
+            term = self._barrier_terms[key] = ("out", OutputVar("barrier", key))
+            self.vars.add(term[1])
+        return term
 
     def _mode_var(self, mode, action_id):
         v = OutputVar(mode, (action_id,))
@@ -388,17 +391,19 @@ class Encoder:
         for bc in () if free else self.boundaries:
             label = f"{bc.direction}({bc.kind}) {bc.action}"
             self.asserts.append((label, self._boundary_expr(bc)))
+        outputs = sorted(self.vars)
         return Problem(
             function=self.cfg.func.name,
             arch=self.profile.name,
-            outputs=sorted(self.vars),
+            outputs=outputs,
             defs=self.defs,
             asserts=self.asserts,
-            cost_terms=self._cost_terms(),
+            cost_terms=self._cost_terms(outputs),
         )
 
-    def _cost_terms(self):
-        if not self.vars:
+    def _cost_terms(self, outputs):
+        """The cost terms of the sorted `outputs`."""
+        if not outputs:
             return []
         weights = self.weights
         if weights is None:
@@ -408,7 +413,7 @@ class Encoder:
         for s, d, _ in self.cfg.edges:
             in_w[d] = max(in_w.get(d, 0), weights[(s, d)])
         data_groups = {}
-        for v in sorted(self.vars):
+        for v in outputs:
             if v.kind == "barrier":
                 k, s, d = v.detail
                 terms.append((weights[(s, d)] * self.costs.kind(k), frozenset([v])))
@@ -436,36 +441,6 @@ def build(cfg, edges, boundaries, deps, profile, costs, options=None, weights=No
 # Evaluation (greatest fixpoint over the defined-variable equations)
 
 
-def _def_refs(expr, acc):
-    tag = expr[0]
-    if tag == "def":
-        acc.add(expr[1])
-    elif tag in ("or", "and"):
-        for p in expr[1]:
-            _def_refs(p, acc)
-
-
-def _components(problem):
-    """Def SCCs in dependency order, as steps (acyclic run, cyclic component),
-    each a list of (name, expr); either part may be empty."""
-    refs = {}
-    for name, expr in problem.defs.items():
-        acc = set()
-        _def_refs(expr, acc)
-        refs[name] = sorted(acc)
-    steps, run = [], []
-    for comp in graph.sccs(problem.defs, [(n, m) for n, ms in refs.items() for m in ms]):
-        names = sorted(comp)
-        members = [(name, problem.defs[name]) for name in names]
-        if len(names) > 1 or names[0] in refs[names[0]]:
-            steps.append((run, members))
-            run = []
-        else:
-            run += members
-    steps.append((run, []))
-    return steps
-
-
 _FALSE_SLOT, _TRUE_SLOT = 0, 1
 
 
@@ -477,51 +452,80 @@ class Compiled:
     def owns a slot and a row (slot, is_and, out_mask, child slots). An or
     row is true when `m & out_mask` is non-zero or some child is; an and
     row needs `m & out_mask == out_mask` and every child. Slots 0 and 1
-    hold the constants False and True. The rows come in steps, children
-    before parents: the acyclic runs and cyclic components of
-    `_components`, then the assertions. The object holds nothing of the
-    `Problem`, so caching it there makes no reference cycle.
+    hold the constants False and True.
+
+    One walk over each definition yields its rows, children first, and the
+    definitions it names. The strongly connected components of those
+    references (`graph.sccs`, dependencies first) order the rows in steps:
+    runs of definitions that do not refer to themselves, and cyclic
+    components, whose members keep their definition order. The assertions
+    come last. The same walk gathers what `solver.dominated` needs: per
+    output, the mask of the outputs named by every or row that names it
+    (`together`), and the mask of the outputs named by some and row
+    (`in_and`). The object holds nothing of the `Problem`, so caching it
+    there makes no reference cycle.
     """
 
     def __init__(self, problem):
+        n = len(problem.outputs)
         self.index = {v: i for i, v in enumerate(problem.outputs)}
-        self.def_slot = {name: i + 2 for i, name in enumerate(problem.defs)}
-        self.nslots = self.def_end = len(self.def_slot) + 2  # defs: slots 2..def_end-1
+        self.def_slot = def_slot = {name: i + 2 for i, name in enumerate(problem.defs)}
+        self.nslots = self.def_end = len(def_slot) + 2  # defs: slots 2..def_end-1
+        self.together = [(1 << n) - 1] * n
+        self.in_and = 0
+        rows_of, refs = {}, {}
+        for name, expr in problem.defs.items():
+            rows, named = [], {}
+            self._row(expr, rows, named, def_slot[name])
+            rows_of[name], refs[name] = rows, named
         self.steps = []  # (rows, def slots of a cyclic component or [])
-        for run, cycle in _components(problem):
+        run = []
+        for comp in graph.sccs(refs, [(d, r) for d, named in refs.items() for r in named]):
+            if len(comp) == 1:
+                (name,) = comp
+                if name not in refs[name]:
+                    run += rows_of[name]
+                    continue
             if run:
-                self.steps.append((self._def_rows(run), []))
-            if cycle:
-                slots = [self.def_slot[name] for name, _ in cycle]
-                self.steps.append((self._def_rows(cycle), slots))
+                self.steps.append((run, []))
+                run = []
+            members = sorted(comp, key=def_slot.__getitem__)
+            rows = [r for name in members for r in rows_of[name]]
+            self.steps.append((rows, [def_slot[name] for name in members]))
+        if run:
+            self.steps.append((run, []))
         rows = []
-        self.asserts = [(label, self._slot(expr, rows)) for label, expr in problem.asserts]
+        self.asserts = [(label, self._slot(expr, rows, {})) for label, expr in problem.asserts]
         self.steps.append((rows, []))
 
-    def _def_rows(self, members):
-        rows = []
-        for name, expr in members:
-            self._row(expr, rows, self.def_slot[name])
-        return rows
-
-    def _slot(self, expr, rows):
+    def _slot(self, expr, rows, named):
         tag = expr[0]
         if tag == "const":
             return _TRUE_SLOT if expr[1] else _FALSE_SLOT
         if tag == "def":
+            named[expr[1]] = None
             return self.def_slot[expr[1]]
-        return self._row(expr, rows)
+        return self._row(expr, rows, named)
 
-    def _row(self, expr, rows, slot=None):
+    def _row(self, expr, rows, named, slot=None):
         """Append the rows of `expr` to `rows`, its own last, at `slot` or
-        a fresh one; returns the slot."""
+        a fresh one, and the definitions they name to `named`; returns the
+        slot."""
         tag, parts = expr if expr[0] in ("or", "and") else ("or", (expr,))
-        mask, kids = 0, []
+        mask, kids, outs = 0, [], []
         for p in parts:
             if p[0] == "out":
-                mask |= 1 << self.index[p[1]]
+                i = self.index[p[1]]
+                mask |= 1 << i
+                outs.append(i)
             else:
-                kids.append(self._slot(p, rows))
+                kids.append(self._slot(p, rows, named))
+        if tag == "and":
+            self.in_and |= mask
+        else:
+            together = self.together
+            for i in outs:
+                together[i] &= mask
         if slot is None:
             slot = self.nslots
             self.nslots += 1

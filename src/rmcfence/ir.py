@@ -171,7 +171,7 @@ _TOKEN_RE = re.compile(
     ( [A-Za-z_][A-Za-z_0-9]*
     | [{}:;?,\[\]()@*=]
     | %[A-Za-z_][A-Za-z_0-9]*
-    | -?\d+
+    | -?[0-9]+
     | ->
     | \Z
     | . )
@@ -187,8 +187,9 @@ def _is_value(t):
 
 
 def _is_int(t):
-    # \d is str.isdecimal; a lone - is a bad character
-    return t.isdecimal() or (t[:1] == "-" and t[1:].isdecimal())
+    # exactly what -?[0-9]+ matches; a lone - is a bad character
+    digits = t[1:] if t[:1] == "-" else t
+    return digits.isascii() and digits.isdecimal()
 
 
 def _diagnostic_at(text, pos, msg):
@@ -203,7 +204,7 @@ def _diagnostic(text, i, msg):
     a text that holds one always reaches here."""
     for k, m in enumerate(_TOKEN_RE.finditer(text)):
         t = m[1]
-        if len(t) == 1 and t not in _PUNCT and t not in _WORD_START and not t.isdecimal():
+        if len(t) == 1 and t not in _PUNCT and t not in _WORD_START and not _is_int(t):
             return _diagnostic_at(text, m.start(1), f"unexpected character {t!r}")
         if k == i:
             pos = m.start(1)

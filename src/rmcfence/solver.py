@@ -28,13 +28,15 @@ its cost group is itself alone, every row of the formula that names it
 is an or row, and all of those rows also name another output with a
 singleton group that is strictly cheaper. Swapping the two keeps every
 row true and lowers the cost, so such an output stays False, and the
-"rest True" check leaves it out. Second, a False child has its parent's
-mask, so it takes its parent's list of failing assertions instead of
-evaluating the formula again. Only the root and True children evaluate
-their mask, and only False children run the "rest True" check (a True
-child's is its parent's; the root's holds because all devices satisfy
-and every row naming a dominated output names an undominated one), so
-each node evaluates the formula at most once.
+"rest True" check leaves it out. `encode.Compiled` gathers the facts
+this needs while it builds the rows, so finding the dominated outputs
+takes one AND per output and walks no row. Second, a False child has
+its parent's mask, so it takes its parent's list of failing assertions
+instead of evaluating the formula again. Only the root and True
+children evaluate their mask, and only False children run the "rest
+True" check (a True child's is its parent's; the root's holds because
+all devices satisfy and every row naming a dominated output names an
+undominated one), so each node evaluates the formula at most once.
 
 The search is a loop over an explicit stack of (next output, mask of the
 true outputs, their cost, the parent's failing assertions for a False
@@ -140,26 +142,25 @@ def dominated(formula, groups, group):
     keeps every row true that was, and costs strictly less. Dominance is
     transitive along strictly falling costs, so every row naming a
     dominated output also names an undominated one.
+
+    The rows are not walked here: `formula.together[x]` is the mask of the
+    outputs named by every or row naming x, and `formula.in_and` the mask
+    of the outputs some and row names. Taken in order of weight, each
+    singleton output is tested with one AND against the mask of the
+    strictly cheaper ones.
     """
-    n = len(group)
-    weight = [None] * n  # an output's weight if its group is a singleton
-    for x, g in enumerate(group):
-        if g is not None and groups[g][0] == 1 << x:
-            weight[x] = groups[g][1]
-    together = [(1 << n) - 1] * n  # outputs named by every row naming x
-    in_and = 0
-    for rows, _cycle in formula.steps:
-        for _slot, is_and, mask, _kids in rows:
-            if is_and:
-                in_and |= mask
-            else:
-                for x in _bits(mask):
-                    together[x] &= mask
-    never = 0
-    for x, w in enumerate(weight):
-        if w is not None and not in_and >> x & 1:
-            if any(weight[y] is not None and weight[y] < w for y in _bits(together[x])):
-                never |= 1 << x
+    singles = sorted(
+        (groups[g][1], x) for x, g in enumerate(group) if g is not None and groups[g][0] == 1 << x
+    )
+    together, in_and = formula.together, formula.in_and
+    never = seen = cheaper = 0
+    last = None
+    for w, x in singles:
+        if w != last:
+            cheaper, last = seen, w
+        if together[x] & cheaper and not in_and >> x & 1:
+            never |= 1 << x
+        seen |= 1 << x
     return never
 
 

@@ -187,3 +187,31 @@ def random_problem(rng, max_vars=14, max_weight=50, and_rows=False):
         asserts=asserts,
         cost_terms=cost_terms,
     )
+
+
+def reference_dominated(formula, groups, group):
+    """Reference for `solver.dominated`: the same rule read off the rows
+    themselves. Output x is dominated when its group is x alone, no and
+    row names it, and every or row naming x also names a strictly cheaper
+    singleton-group output."""
+    n = len(group)
+    weight = [None] * n  # an output's weight if its group is a singleton
+    for x, g in enumerate(group):
+        if g is not None and groups[g][0] == 1 << x:
+            weight[x] = groups[g][1]
+    bits = lambda mask: [i for i in range(n) if mask >> i & 1]
+    together = [(1 << n) - 1] * n  # outputs named by every row naming x
+    in_and = 0
+    for rows, _cycle in formula.steps:
+        for _slot, is_and, mask, _kids in rows:
+            if is_and:
+                in_and |= mask
+            else:
+                for x in bits(mask):
+                    together[x] &= mask
+    never = 0
+    for x, w in enumerate(weight):
+        if w is not None and not in_and >> x & 1:
+            if any(weight[y] is not None and weight[y] < w for y in bits(together[x])):
+                never |= 1 << x
+    return never

@@ -1,11 +1,14 @@
 import json
 import os
+import pathlib
 import stat
+import subprocess
+import sys
 
 import pytest
 
 from rmcfence import cli, encode, graph, ir
-from conftest import ARCHES, CORPUS_NAMES, corpus_path, span_source
+from conftest import ARCHES, CORPUS_NAMES, corpus_path, span_source, walk_source
 
 
 def run(capsys, *argv):
@@ -566,3 +569,36 @@ def test_unsatisfiable_encoding_exits_internal(capsys, monkeypatch):
     code, out, err = run(capsys, "compile", str(corpus_path("mp")), "--arch", "armv7")
     assert (code, out) == (cli.EXIT_INTERNAL, "")
     assert err.startswith("internal error: Unsatisfiable: ") and err.count("\n") == 1
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Sets and dicts keyed by strings iterate in an order that the hash
+    # seed decides; nothing printed may follow it.
+    walk = tmp_path / "walk2.rmcir"
+    walk.write_text(walk_source(2))
+    runs = [
+        [cmd, str(path), "--arch", "armv8", *extra]
+        for path in (corpus_path("ringbuf"), corpus_path("widget"), walk)
+        for cmd, extra in (("compile", []), ("explain", ["--dump-problem"]))
+    ]
+    script = (
+        "import json, sys\n"
+        "from rmcfence import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print('exit', cli.main(argv))\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("exit 0\n") == len(runs)
+    # one problem dump per function: ringbuf and widget hold two each
+    assert outs[0].count("  definitions:\n") == 5
+

@@ -1,8 +1,10 @@
-from rmcfence import ir
+from rmcfence import arch, constraints, encode, ir
 from rmcfence.deps import DepAnalysis
 from rmcfence.emit import PlacementPlan
 from rmcfence.verify import PlanChecker
-from conftest import CORPUS_NAMES, load_corpus, naive_dominators, parse_valid
+from conftest import (
+    ARCHES, CORPUS_NAMES, load_corpus, naive_dominators, parse_valid, walk_source,
+)
 
 
 def _setup(text):
@@ -168,3 +170,102 @@ def test_value_depends_agrees_with_independent_walk():
                     a = deps.value_depends(action, value, whole)
                     b = checker.depends(action, value, set(whole))
                     assert a == b, (name, f.name, action.id, value)
+
+
+# A loop whose header phi takes the entry read on its first arm: the
+# dependence from `s` to `t` holds around the loop but not through entry.
+# Block `mid` is the tail of the `i -> s` paths and the head of the
+# `s -> t` paths, so it is reached backward for one question and forward
+# for the other.
+_LOOP_ENDS = """func loop_ends {
+  edge xo i -> s;
+  edge xo s -> t;
+  block e:
+    %i = read @init label i
+    jmp head
+  block head:
+    %m = phi [e: %i], [latch: %x]
+    %v = read *%m label t
+    jmp mid
+  block mid:
+    %w = read @q label s
+    jmp latch
+  block latch:
+    %x = op f(%w)
+    %c = read @c
+    br %c ? head : out
+  block out:
+    ret
+}
+"""
+
+# From `s`, the phi's constant arm is reached only through the bind point
+# in `k`: the scoped constraint has a dependence, the unscoped one has not.
+_SCOPED_DETOUR = """func detour {
+  edge xo s -> t;
+  edge xo here(top) s -> t;
+  block a:
+    %w = read @q label s
+    %c = op cond()
+    br %c ? p1 : k
+  block k:
+    bind top
+    jmp p2
+  block p1:
+    %x = op f(%w)
+    jmp j
+  block p2:
+    jmp j
+  block j:
+    %m = phi [p1: %x], [p2: 0]
+    %v = read *%m label t
+    ret
+}
+"""
+
+
+class _Recording(DepAnalysis):
+    """Records every question the encoder asks, with its answer."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.asked = []
+
+    def can_data(self, *args):
+        got = super().can_data(*args)
+        self.asked.append(("can_data", args, got))
+        return got
+
+    def can_ctrl(self, *args, **kw):
+        got = super().can_ctrl(*args, **kw)
+        self.asked.append(("can_ctrl", (*args, kw.get("synth", False)), got))
+        return got
+
+
+def test_shared_analysis_answers_as_a_fresh_one():
+    """The encoder asks one DepAnalysis every question of a function, and
+    its memo tables (regions, reach per end and direction, dependence)
+    carry answers from one question to the next. Each answer must equal
+    what a fresh analysis gives to that question alone."""
+    funcs = [f for name in CORPUS_NAMES for f in parse_valid(load_corpus(name))]
+    funcs += [f for n in (1, 2, 3) for f in parse_valid(walk_source(n))]
+    funcs += parse_valid(_LOOP_ENDS) + parse_valid(_SCOPED_DETOUR)
+    seen = set()
+    for f in funcs:
+        cfg = ir.normalize(f)
+        edges, boundaries = constraints.resolve(f, cfg)
+        closed = constraints.close(edges, cfg.actions)
+        for arch_name in ARCHES:
+            profile = arch.builtin_profile(arch_name)
+            costs, _ = arch.load_costs(profile)
+            for synth in (False, True):
+                shared = _Recording(cfg)
+                options = encode.EncodeOptions(synth_deps=synth)
+                encode.build(cfg, closed, boundaries, shared, profile, costs, options)
+                for name, args, got in shared.asked:
+                    fresh = getattr(DepAnalysis(cfg), name)(*args)
+                    assert got == fresh, (f.name, arch_name, name, args)
+                    scoped = name == "can_data" and args[0] is not None
+                    seen.add((name, scoped, got))
+    assert seen == {(n, s, g) for n, s in [("can_data", False), ("can_data", True),
+                                           ("can_ctrl", False)] for g in (False, True)}

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -131,7 +132,13 @@ def test_components_without_references_are_one_sorted_run():
     )
     # what the SCC pass yields on an edgeless graph: singletons by name
     assert [sorted(c) for c in graph.sccs(defs, [])] == [["b"], ["m"], ["z"]]
-    assert encode._components(problem) == [([(n, defs[n]) for n in ("b", "m", "z")], [])]
+    c = encode.compiled(problem)
+    slot = c.def_slot
+    # one acyclic run in that order, then the (empty) assertion step
+    assert [([r[0] for r in rows], cycle) for rows, cycle in c.steps] == [
+        ([slot[n] for n in ("b", "m", "z")], []),
+        ([], []),
+    ]
 
 
 def test_self_cycles_force_extra_cuts_when_unscoped():
@@ -145,6 +152,48 @@ def test_self_cycles_force_extra_cuts_when_unscoped():
 def test_output_order_is_canonical():
     for name, a in _all_problems("armv8"):
         assert a.problem.outputs == sorted(a.problem.outputs)
+
+
+@dataclass(frozen=True, order=True)
+class _DataclassOutputVar:
+    """The frozen dataclass `OutputVar` used to be, kept as the reference
+    for what a NamedTuple must still print, order and hash like."""
+
+    kind: str
+    detail: tuple
+
+    def __str__(self):
+        if self.kind == "barrier":
+            k, s, d = self.detail
+            return f"barrier[{k} @ {s}->{d}]"
+        if self.kind == "use_ctrl":
+            s, es, ed, mode = self.detail
+            return f"use_ctrl[{s} @ {es}->{ed} {mode}]"
+        if self.kind == "use_data":
+            b, s, t, pid = self.detail
+            return f"use_data[{b} {s}->{t} {pid}]"
+        return f"{self.kind}[{self.detail[0]}]"
+
+
+def test_output_vars_print_order_and_hash_as_the_dataclass_did():
+    kinds = set()
+    for name in CORPUS_NAMES:
+        for arch_name in ARCHES:
+            for synth in (False, True):
+                for a in analyze_corpus(name, arch_name, synth_deps=synth):
+                    outs = a.problem.outputs
+                    refs = [_DataclassOutputVar(v.kind, v.detail) for v in outs]
+                    assert [str(v) for v in outs] == [str(r) for r in refs]
+                    assert [repr(v) for v in outs] == [
+                        repr(r).replace("_DataclassOutputVar(", "OutputVar(", 1) for r in refs
+                    ]
+                    # the encoder sorts its outputs; so would the dataclass
+                    assert refs == sorted(refs)
+                    assert all(hash(v) == hash((v.kind, v.detail)) for v in outs)
+                    members = set(outs)
+                    assert all(encode.OutputVar(v.kind, v.detail) in members for v in outs)
+                    kinds.update(v.kind for v in outs)
+    assert kinds == {"barrier", "use_ctrl", "use_data", "acquire", "release"}
 
 
 def test_overlap_armv7_outputs_are_the_interior_edges():
@@ -214,16 +263,17 @@ def test_def_values_equal_naive_greatest_fixpoint():
             function="t", arch="none", outputs=outs, defs=defs,
             asserts=asserts, cost_terms=[],
         )
+        c = encode.compiled(problem)
+        name_of = {slot: name for name, slot in c.def_slot.items()}
         cyclic = set()
-        for run, cycle in encode._components(problem):
-            if run:
+        for rows, cycle in c.steps[:-1]:  # the last step holds the assertions
+            if not cycle:
                 shapes.add("acyclic")
-            if cycle:
+            else:
                 shapes.add("cycle" if len(cycle) > 1 else "self")
-                cyclic.update(name for name, _ in cycle)
+                cyclic.update(name_of[slot] for slot in cycle)
         for _label, e in asserts:
-            refs = set()
-            encode._def_refs(e, refs)
+            refs = {x[1] for x in _subexprs(e) if x[0] == "def"}
             if refs & cyclic:
                 shapes.add("assertion on a cycle")
             tags = [x[0] for x in _subexprs(e)]

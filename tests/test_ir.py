@@ -95,6 +95,8 @@ DIAGNOSTICS = [
     ('func f { block e: ret } # trailing comment\n$', "2:1: unexpected character '$'"),
     ('func f { block e: ret }\n\n\t$', "3:2: unexpected character '$'"),
     ('func f { block e: ret } $', "1:25: unexpected character '$'"),
+    # integers are ASCII digits, as words and values are ASCII
+    ('func f { block e: write @x ٣٤ ret }', "1:28: unexpected character '٣'"),
     ('func f { block e: write @x 1 label a; ret }', "1:37: expected instruction, found ';'"),
     ('func f { block e: ret', "1:22: expected '}', found 'end of input'"),
     ('func f { block e: ret }\nfunc f { block e: ret }', "2:6: duplicate function 'f'"),

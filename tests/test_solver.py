@@ -16,7 +16,7 @@ except ImportError:
 from rmcfence import encode, solver, verify
 from conftest import (
     ARCHES, CORPUS_NAMES, analyze, analyze_corpus, load_corpus, parse_valid, random_problem,
-    walk_source,
+    reference_dominated, walk_source,
 )
 
 # Search nodes (`Assignment.decisions`) per "<file> <arch> <function>" of the
@@ -124,6 +124,31 @@ def test_equal_costs_from_an_override_turn_dominance_off():
     assert solve("dmb_ld = 50\n") == (["a0", "dmb"], ["dmb_ldst"])
 
 
+def test_dominated_equals_the_row_walk_reference():
+    # solver.dominated reads the facts Compiled gathered while building its
+    # rows; the reference walks the rows. Random problems (both weight
+    # ranges, with and without and rows), every corpus problem and the
+    # walks must give the same mask.
+    problems = []
+    rng = random.Random(2024)
+    for k in range(600):
+        problems.append(random_problem(rng, max_weight=(3, 50)[k % 2], and_rows=k % 3 == 0))
+    for name in CORPUS_NAMES:
+        for arch_name in ARCHES:
+            for synth in (False, True):
+                problems += [a.problem for a in analyze_corpus(name, arch_name, synth_deps=synth)]
+    for n in (1, 2, 3):
+        (func,) = parse_valid(walk_source(n))
+        problems += [analyze(func, a).problem for a in ("armv7", "armv8", "power")]
+    some = 0
+    for p in problems:
+        formula, (groups, group) = encode.compiled(p), solver.cost_groups(p)
+        got = solver.dominated(formula, groups, group)
+        assert got == reference_dominated(formula, groups, group), p.function
+        some += got != 0
+    assert some >= 100
+
+
 def test_each_node_evaluates_the_formula_at_most_once(monkeypatch):
     # A False child reuses its parent's evaluation; the one extra call is
     # the all-devices check before the search.
@@ -161,7 +186,7 @@ def test_node_counts_unchanged():
             a = analyze(func, arch_name)
             if arch_name != "x86":
                 # The walk exercises cyclic definitions.
-                assert any(cycle for _run, cycle in encode._components(a.problem))
+                assert any(cycle for _rows, cycle in encode.compiled(a.problem).steps)
             got[f"walk{n} {arch_name}"] = solver.solve_min(a.problem).decisions
     assert got == NODES
 
