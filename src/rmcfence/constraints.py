@@ -21,7 +21,7 @@ no no-op endpoint comes back unchanged.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ir import Diagnostic, RESERVED_TAGS
 
@@ -34,8 +34,10 @@ class ConstraintError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class ConstraintEdge:
+# The constraint records are tuples, so building, hashing and comparing
+# them runs in C. tests/test_constraints.py pins their fields, defaults,
+# repr, equality and hash.
+class ConstraintEdge(NamedTuple):
     kind: str  # vo | xo | pu
     src: str  # action id
     dst: str  # action id
@@ -44,30 +46,22 @@ class ConstraintEdge:
     chain: tuple = ()  # derived: the declared (kind, src, dst) steps
 
     def key(self):
-        return (self.kind, self.src, self.dst, self.bind)
+        return self[:4]  # (kind, src, dst, bind)
 
 
-@dataclass(frozen=True)
-class BoundaryConstraint:
+class BoundaryConstraint(NamedTuple):
     kind: str  # vo | xo
     direction: str  # "pre": everything before must order against `action`;
     #                 "post": `action` orders against everything after
     action: str
 
 
-def tag_actions(func):
-    out = {}
-    for blk in func.blocks.values():
-        for ins in blk.instrs:
-            labels = getattr(ins, "labels", ())
-            for t in labels:
-                out.setdefault(t, []).append(ins.id)
-    return out
-
-
 def resolve(func, cfg):
     """Expand declarations into concrete edges and boundary constraints."""
-    tags = tag_actions(func)
+    tags = {}  # tag -> the actions it labels, in text order
+    for a in cfg.actions.values():
+        for t in a.labels:
+            tags.setdefault(t, []).append(a.id)
     edges, boundaries, diags = [], [], []
     seen = set()
     for decl in func.decls:
@@ -82,13 +76,14 @@ def resolve(func, cfg):
             for a in tags.get(tag, []):
                 boundaries.append(BoundaryConstraint(decl.kind, direction, a))
             continue
+        kind = decl.kind
         bind_block = cfg.bind_block[decl.bind] if decl.bind else None
         for s in tags.get(decl.src, []):
             for t in tags.get(decl.dst, []):
-                e = ConstraintEdge(decl.kind, s, t, bind_block)
-                if e.key() not in seen:
-                    seen.add(e.key())
-                    edges.append(e)
+                key = (kind, s, t, bind_block)
+                if key not in seen:
+                    seen.add(key)
+                    edges.append(ConstraintEdge(kind, s, t, bind_block))
     if diags:
         raise ConstraintError(diags)
     return edges, boundaries
@@ -102,9 +97,10 @@ def close(edges, actions):
     visited sorted by (dst, kind), so each derived edge's `chain` is the
     lexicographically first shortest no-op chain, whatever the input order.
     """
-    is_noop = lambda a: actions[a].kind == "noop"
-    if not any(is_noop(e.src) or is_noop(e.dst) for e in edges):
+    noops = {a for a, act in actions.items() if act.kind == "noop"}
+    if not noops or not any(e.src in noops or e.dst in noops for e in edges):
         return list(edges)
+    is_noop = noops.__contains__
 
     succ = {}
     for e in sorted(edges, key=lambda e: (e.dst, e.kind)):

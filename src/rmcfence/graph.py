@@ -24,51 +24,53 @@ def sccs(nodes, edges):
     """Tarjan over an explicit edge set.
 
     Components come out dependencies first: every component is emitted
-    after all components reachable from it.
+    after all components reachable from it. The search starts from the
+    nodes in sorted order and follows each node's edges in the order
+    given, scanning each edge once.
     """
-    succ = {n: [] for n in nodes}
+    order = sorted(nodes)
+    num = {n: i for i, n in enumerate(order)}
+    succ = [[] for _ in order]
     for u, v in edges:
-        succ[u].append(v)
-    index, low, on_stack = {}, {}, set()
+        succ[num[u]].append(num[v])
+    index = [-1] * len(order)  # -1: not reached yet
+    low = [0] * len(order)
+    on_stack = [False] * len(order)
     stack, out = [], []
-    counter = [0]
-
-    def visit(v):
-        work = [(v, 0)]
+    counter = 0
+    for root in range(len(order)):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            node, pi = work.pop()
-            if pi == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            for i in range(pi, len(succ[node])):
-                w = succ[node][i]
-                if w not in index:
-                    work.append((node, i + 1))
-                    work.append((w, 0))
-                    recurse = True
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if recurse:
-                continue
-            for w in succ[node]:
-                if w in index and w in on_stack and low.get(w, 1 << 60) < low[node]:
-                    low[node] = min(low[node], low[w])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                out.append(comp)
-    for n in sorted(nodes):
-        if n not in index:
-            visit(n)
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = set()
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.add(order[w])
+                        if w == v:
+                            break
+                    out.append(comp)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return out
 
 

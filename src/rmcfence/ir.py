@@ -146,14 +146,6 @@ def successors(term):
     return []
 
 
-def predecessor_map(func):
-    preds = {bid: [] for bid in func.blocks}
-    for bid, blk in func.blocks.items():
-        for s in successors(blk.term):
-            preds[s].append(bid)
-    return preds
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
@@ -164,7 +156,9 @@ def predecessor_map(func):
 # other single character, which no grammar rule accepts. No text matches
 # two of the first five, so their order (most frequent first) does not
 # change what matches. After trailing whitespace the end of the text
-# matches twice.
+# matches twice. Whitespace is ASCII only (`re.ASCII`), as words, values
+# and integers are: a Unicode space or line separator outside a comment
+# is a bad character, so no line break goes uncounted in a diagnostic.
 _TOKEN_RE = re.compile(
     r"""
     (?:\s+|\#[^\n]*|;;[^\n]*)*
@@ -176,7 +170,7 @@ _TOKEN_RE = re.compile(
     | \Z
     | . )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 _PUNCT = "{}:;?,[]()@*="
 _WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
@@ -318,7 +312,7 @@ class _Parser:
             self.fail(i, "'pre' and 'post' may not appear in the same declaration")
         if bind is not None and (src in RESERVED_TAGS or dst in RESERVED_TAGS):
             self.fail(i, "pre/post declarations may not carry a binding point")
-        decls.append(ConstraintDecl(kind=kind, src=src, dst=dst, bind=bind))
+        decls.append(ConstraintDecl(kind, src, dst, bind))
         return i + 4
 
     def parse_block(self, i, blocks):
@@ -402,11 +396,6 @@ class _Parser:
             self.fail(i, f"tag {t!r} is reserved")
         return (t,)
 
-    def action(self, **kw):
-        aid = f"a{self.action_n}"
-        self.action_n += 1
-        return Action(id=aid, **kw)
-
     def parse_instr(self, i, instrs):
         toks = self.toks
         t = toks[i]
@@ -418,7 +407,8 @@ class _Parser:
             if toks[i] == "label":
                 labels = self.label(i + 1)
                 i += 2
-            instrs.append(self.action(kind="write", loc=loc, data=data, labels=labels))
+            instrs.append(Action(f"a{self.action_n}", "write", loc, data, None, None, labels))
+            self.action_n += 1
             return i
         if t == "push" or t == "noop":
             i += 1
@@ -428,7 +418,8 @@ class _Parser:
                 i += 2
             elif t == "noop":
                 self.fail(i, "noop requires a label")
-            instrs.append(self.action(kind=t, labels=labels))
+            instrs.append(Action(f"a{self.action_n}", t, None, None, None, None, labels))
+            self.action_n += 1
             return i
         if t == "bind":
             b = self.word(i + 1, "bind id")
@@ -456,17 +447,12 @@ class _Parser:
             if toks[i] == "label":
                 labels = self.label(i + 1)
                 i += 2
+            aid = f"a{self.action_n}"
+            self.action_n += 1
             if op == "read":
-                ins = self.action(kind="read", loc=loc, defines=self.def_value(vi), labels=labels)
+                ins = Action(aid, "read", loc, None, None, self.def_value(vi), labels)
             else:
-                ins = self.action(
-                    kind="rmw",
-                    loc=loc,
-                    rmw_op=rop,
-                    data=data,
-                    defines=self.def_value(vi),
-                    labels=labels,
-                )
+                ins = Action(aid, "rmw", loc, data, rop, self.def_value(vi), labels)
         elif op == "op":
             name = self.word(i + 3, "op name")
             if toks[i + 4] != "(":
@@ -681,102 +667,121 @@ def dominance(entry, succ):
 
 
 def validate(func):
-    """Structural and SSA checks beyond the grammar. Returns a diagnostics list."""
+    """Structural and SSA checks beyond the grammar. Returns a diagnostics list.
+
+    One walk over the instructions records every definition, label and
+    use. The uses are checked after it, in text order, because a
+    definition may follow in the text a use that it dominates. Dominance
+    is computed only for a use in another block than its definition, and
+    an instruction is printed only into a diagnostic.
+    """
     diags = []
     bad = lambda msg: diags.append(Diagnostic(0, 0, f"{func.name}: {msg}"))
+    blocks, entry = func.blocks, func.entry
 
-    preds = predecessor_map(func)
-    if preds[func.entry]:
-        bad(f"entry block {func.entry!r} has predecessors")
+    succ = {bid: successors(blk.term) for bid, blk in blocks.items()}
+    preds = {bid: [] for bid in blocks}
+    for bid, ss in succ.items():
+        for s in ss:
+            preds[s].append(bid)
+    if preds[entry]:
+        bad(f"entry block {entry!r} has predecessors")
 
-    # Reachability from entry.
-    seen = set()
-    stack = [func.entry]
+    seen = {entry}
+    stack = [entry]
     while stack:
-        b = stack.pop()
-        if b in seen:
-            continue
-        seen.add(b)
-        stack.extend(successors(func.blocks[b].term))
-    for bid in func.blocks:
-        if bid not in seen:
-            bad(f"block {bid!r} is unreachable from entry")
+        for s in succ[stack.pop()]:
+            if s not in seen:
+                seen.add(s)
+                stack.append(s)
+    if len(seen) < len(blocks):
+        for bid in blocks:
+            if bid not in seen:
+                bad(f"block {bid!r} is unreachable from entry")
     if diags:
         return diags
 
-    dominates = dominance(func.entry, lambda b: successors(func.blocks[b].term))
-
-    # Where is each value defined?
     def_site = {}  # value -> (block, index)
-    for bid, blk in func.blocks.items():
-        for i, ins in enumerate(blk.instrs):
-            d = getattr(ins, "defines", None)
-            if d:
-                def_site[d] = (bid, i)
-
-    def check_use(vid, bid, idx, what):
-        dblk, didx = def_site[vid]
-        if dblk == bid:
-            if didx >= idx:
-                bad(f"use of %{vid} in {what} precedes its definition in block {bid!r}")
-        elif not dominates(dblk, bid):
-            bad(f"use of %{vid} in {what} is not dominated by its definition")
-
-    def operand_uses(ins):
-        if isinstance(ins, Action):
-            if isinstance(ins.loc, Deref):
-                yield ins.loc.value
-            if isinstance(ins.data, str):
-                yield ins.data
-        elif isinstance(ins, PureOp):
-            yield from (a for a in ins.args if isinstance(a, str))
-
-    for bid, blk in func.blocks.items():
+    labelled = set()
+    # In text order: a message, or a use (value, block, index, instruction
+    # or terminator); a phi arm's use has the arm's block and index None.
+    pending = []
+    late = []  # unlabelled no-ops and labelled pushes, reported after the declarations
+    for bid, blk in blocks.items():
         in_phis = True
         for i, ins in enumerate(blk.instrs):
             if isinstance(ins, Phi):
+                def_site[ins.defines] = (bid, i)
                 if not in_phis:
-                    bad(f"phi %{ins.defines} is not at the start of block {bid!r}")
-                arm_preds = [p for p, _ in ins.arms]
-                if sorted(arm_preds) != sorted(preds[bid]):
-                    bad(
-                        f"phi %{ins.defines} arms {sorted(arm_preds)} do not match "
+                    pending.append(f"phi %{ins.defines} is not at the start of block {bid!r}")
+                arm_preds = sorted(p for p, _ in ins.arms)
+                if arm_preds != sorted(preds[bid]):
+                    pending.append(
+                        f"phi %{ins.defines} arms {arm_preds} do not match "
                         f"predecessors {sorted(preds[bid])} of block {bid!r}"
                     )
                 for p, o in ins.arms:
-                    if isinstance(o, str) and p in func.blocks:
-                        dblk, _ = def_site[o]
-                        if not dominates(dblk, p):
-                            bad(f"phi arm %{o} from {p!r} is not dominated by its definition")
-            else:
-                in_phis = False
-                for v in operand_uses(ins):
-                    check_use(v, bid, i, instr_str(ins))
+                    if isinstance(o, str) and p in blocks:
+                        pending.append((o, p, None, ins))
+                continue
+            in_phis = False
+            if isinstance(ins, Action):
+                if ins.defines:
+                    def_site[ins.defines] = (bid, i)
+                if isinstance(ins.loc, Deref):
+                    pending.append((ins.loc.value, bid, i, ins))
+                if isinstance(ins.data, str):
+                    pending.append((ins.data, bid, i, ins))
+                if ins.labels:
+                    labelled.update(ins.labels)
+                    # A push that constraints could name would need push-edge
+                    # semantics (vo into it, xo out of it), which nothing implements.
+                    if ins.kind == "push":
+                        late.append(f"labelled push (tag {ins.labels[0]!r}) is not supported")
+                elif ins.kind == "noop":
+                    late.append("noop action without a label")
+            elif isinstance(ins, PureOp):
+                def_site[ins.defines] = (bid, i)
+                for a in ins.args:
+                    if isinstance(a, str):
+                        pending.append((a, bid, i, ins))
         term = blk.term
         tv = term.cond if isinstance(term, Branch) else getattr(term, "value", None)
         if isinstance(tv, str):
-            check_use(tv, bid, len(blk.instrs), term_str(term))
+            pending.append((tv, bid, len(blk.instrs), term))
+
+    dominates = None
+    for item in pending:
+        if isinstance(item, str):
+            bad(item)
+            continue
+        vid, bid, idx, node = item
+        dblk, didx = def_site[vid]
+        if dblk == bid:
+            if idx is not None and didx >= idx:
+                bad(f"use of %{vid} in {_node_str(node)} precedes its definition in block {bid!r}")
+            continue
+        if dominates is None:
+            dominates = dominance(entry, succ.__getitem__)
+        if dominates(dblk, bid):
+            continue
+        if idx is None:
+            bad(f"phi arm %{vid} from {bid!r} is not dominated by its definition")
+        else:
+            bad(f"use of %{vid} in {_node_str(node)} is not dominated by its definition")
 
     # Constraint declarations: every plain tag must label at least one action.
-    labelled = set()
-    for blk in func.blocks.values():
-        for ins in blk.instrs:
-            if isinstance(ins, Action):
-                labelled.update(ins.labels)
     for d in func.decls:
         for tag in (d.src, d.dst):
             if tag not in RESERVED_TAGS and tag not in labelled:
                 bad(f"edge declaration tag {tag!r} labels no action")
-
-    for blk in func.blocks.values():
-        for ins in blk.instrs:
-            if isinstance(ins, Action) and ins.kind == "noop" and not ins.labels:
-                bad("noop action without a label")
-            # A push that constraints could name would need push-edge
-            # semantics (vo into it, xo out of it), which nothing implements.
-            if isinstance(ins, Action) and ins.kind == "push" and ins.labels:
-                bad(f"labelled push (tag {ins.labels[0]!r}) is not supported")
+    for msg in late:
+        bad(msg)
     return diags
+
+
+def _node_str(node):
+    return term_str(node) if isinstance(node, (Jump, Branch, Ret)) else instr_str(node)
 
 
 # ---------------------------------------------------------------------------
@@ -801,119 +806,139 @@ class NormalizedCFG:
     real_pred: dict  # block -> predecessors over real edges
 
 
-def _split_block(blk, is_entry):
-    """Split so labeled actions sit alone. Returns list of (suffix instrs, labeled?)."""
-    segs = []
-    cur = []
-    for ins in blk.instrs:
-        if isinstance(ins, Action) and ins.labels:
-            if cur or (not segs and is_entry):
-                segs.append((cur, False))
-                cur = []
-            elif not segs:
-                pass  # first instruction of a non-entry block: action keeps the block id
-            segs.append(([ins], True))
-            cur = []
-        else:
-            cur.append(ins)
-    if cur or not segs:
-        segs.append((cur, False))
-    return segs
-
-
 def normalize(func):
     """Produce the normalized CFG used by all later stages.
 
     Invariants established: every labeled action alone in its block, no
     critical edges, exit->entry pseudo edges, entry block label-free.
+
+    One walk over the blocks splits each into chunks, the first keeping
+    the block's id and the next ones named `<id>.s1`, `<id>.s2`, ...: a
+    labeled action gets a chunk of its own, and so does the run of other
+    instructions before or after it (the entry gets an empty first chunk
+    when a labeled action opens it). The same walk records each action's
+    and bind's chunk and counts each block's predecessors. A real edge
+    from a branch into a block with more than one predecessor is then
+    split by a `crit.<src>.<dst>` block, and phi arms are retargeted to
+    the chunk or split block that the incoming edge now leaves. The input
+    is not changed: its instructions and terminators are shared, never
+    modified.
     """
-    blocks = {}
-    block_origin = {}
-    last_chunk = {}
-    for bid, blk in func.blocks.items():
-        segs = _split_block(blk, is_entry=(bid == func.entry))
-        ids = [bid] + [f"{bid}.s{i}" for i in range(1, len(segs))]
-        last_chunk[bid] = ids[-1]
-        idx = 0
-        for i, (instrs, _labeled) in enumerate(segs):
-            term = blk.term if i == len(segs) - 1 else Jump(ids[i + 1])
-            blocks[ids[i]] = BasicBlock(id=ids[i], instrs=instrs, term=term)
-            block_origin[ids[i]] = (bid, idx)
-            idx += len(instrs)
-
-    # Phi arms name original predecessors; splitting moved the incoming
-    # edge to each predecessor's final chunk. Retarget (via copies).
-    for b in blocks:
-        blocks[b].instrs = [
-            Phi(ins.defines, tuple((last_chunk[p], o) for p, o in ins.arms))
-            if isinstance(ins, Phi)
-            else ins
-            for ins in blocks[b].instrs
-        ]
-
-    # Break critical edges (real edges only; every split chunk has one succ).
-    preds = {b: [] for b in blocks}
-    for b, blk in blocks.items():
-        for s in successors(blk.term):
-            preds[s].append(b)
-    for b in list(blocks):
-        term = blocks[b].term
-        succs = successors(term)
-        if len(succs) <= 1:
-            continue
-        for s in succs:
-            if len(preds[s]) <= 1:
-                continue
-            mid = f"crit.{b}.{s}"
-            blocks[mid] = BasicBlock(id=mid, instrs=[], term=Jump(s))
-            block_origin[mid] = (None, -1)
-            if term.then == s:
-                term = Branch(term.cond, mid, term.els)
-            if term.els == s:
-                term = Branch(term.cond, term.then, mid)
-            blocks[b] = BasicBlock(id=b, instrs=blocks[b].instrs, term=term)
-            # Retarget phi arms in the destination (copies: instrs alias the input).
-            blocks[s].instrs = [
-                Phi(ins.defines, tuple((mid if p == b else p, o) for p, o in ins.arms))
-                if isinstance(ins, Phi)
-                else ins
-                for ins in blocks[s].instrs
-            ]
-            preds[s] = [mid if p == b else p for p in preds[s]]
-            preds[mid] = [b]
-
-    edges = []
-    for b, blk in blocks.items():
-        for s in successors(blk.term):
-            edges.append((b, s, False))
-    for b, blk in blocks.items():
-        if isinstance(blk.term, Ret):
-            edges.append((b, func.entry, True))
-
-    succ = {b: [] for b in blocks}
-    pred = {b: [] for b in blocks}
-    real_succ = {b: [] for b in blocks}
-    real_pred = {b: [] for b in blocks}
-    for s, d, pseudo in edges:
-        succ[s].append(d)
-        pred[d].append(s)
-        if not pseudo:
-            real_succ[s].append(d)
-            real_pred[d].append(s)
-
+    entry = func.entry
+    blocks, block_origin = {}, {}
     action_block, bind_block, actions = {}, {}, {}
-    for b, blk in blocks.items():
-        for ins in blk.instrs:
+    npred = dict.fromkeys(func.blocks, 0)
+    last_chunk = {}  # original block -> the chunk its terminator ends
+    branches = []  # the chunks that end in a branch, in order
+    phis = []  # (chunk, its instructions, index) of every phi
+    for bid, blk in func.blocks.items():
+        cid, cur, start = bid, [], 0  # the open chunk: id, instructions, first index
+        n = 0  # chunks of this block closed so far
+        prev = None  # the last closed chunk, whose jump names the next one
+        for i, ins in enumerate(blk.instrs):
             if isinstance(ins, Action):
-                action_block[ins.id] = b
                 actions[ins.id] = ins
+                if ins.labels:
+                    if cur or (not n and bid == entry):
+                        chunk = BasicBlock(cid, cur, None)
+                        if prev is not None:
+                            prev.term = Jump(cid)
+                        blocks[cid] = prev = chunk
+                        block_origin[cid] = (bid, start)
+                        n += 1
+                        cid, cur = f"{bid}.s{n}", []
+                    chunk = BasicBlock(cid, [ins], None)
+                    if prev is not None:
+                        prev.term = Jump(cid)
+                    blocks[cid] = prev = chunk
+                    block_origin[cid] = (bid, i)
+                    action_block[ins.id] = cid
+                    n += 1
+                    cid, start = f"{bid}.s{n}", i + 1
+                    continue
+                action_block[ins.id] = cid
             elif isinstance(ins, Bind):
-                bind_block[ins.id] = b
+                bind_block[ins.id] = cid
+            elif isinstance(ins, Phi):
+                phis.append((cid, cur, len(cur)))
+            cur.append(ins)
+        term = blk.term
+        if cur or not n:
+            chunk = BasicBlock(cid, cur, term)
+            if prev is not None:
+                prev.term = Jump(cid)
+            blocks[cid] = chunk
+            block_origin[cid] = (bid, start)
+        else:
+            chunk = prev
+            chunk.term = term
+        last_chunk[bid] = chunk.id
+        if isinstance(term, Jump):
+            npred[term.target] += 1
+        elif isinstance(term, Branch):
+            npred[term.then] += 1
+            npred[term.els] += 1
+            branches.append(chunk)
+
+    # Break critical edges: every other chunk has one successor.
+    crit = {}  # (branch chunk, target) -> the block between them
+    for chunk in branches:
+        b, term = chunk.id, chunk.term
+        for s in (term.then, term.els):
+            if npred[s] > 1:
+                mid = crit[b, s] = f"crit.{b}.{s}"
+                blocks[mid] = BasicBlock(mid, [], Jump(s))
+                block_origin[mid] = (None, -1)
+        then, els = crit.get((b, term.then), term.then), crit.get((b, term.els), term.els)
+        if then != term.then or els != term.els:
+            chunk.term = Branch(term.cond, then, els)
+
+    # Phi arms name original predecessors; the incoming edge now leaves
+    # the predecessor's last chunk, or the block that splits it.
+    for cid, instrs, i in phis:
+        ins = instrs[i]
+        arms = []
+        for p, o in ins.arms:
+            p = last_chunk[p]
+            arms.append((crit.get((p, cid), p), o))
+        instrs[i] = Phi(ins.defines, tuple(arms))
+
+    edges, rets = [], []
+    succ, real_succ = {}, {}
+    pred = {b: [] for b in blocks}
+    real_pred = {b: [] for b in blocks}
+    for b, blk in blocks.items():
+        term = blk.term
+        if isinstance(term, Jump):
+            d = term.target
+            edges.append((b, d, False))
+            succ[b] = [d]
+            real_succ[b] = [d]
+            pred[d].append(b)
+            real_pred[d].append(b)
+        elif isinstance(term, Branch):
+            t, e = term.then, term.els
+            edges.append((b, t, False))
+            edges.append((b, e, False))
+            succ[b] = [t, e]
+            real_succ[b] = [t, e]
+            pred[t].append(b)
+            real_pred[t].append(b)
+            pred[e].append(b)
+            real_pred[e].append(b)
+        else:
+            succ[b] = []
+            real_succ[b] = []
+            rets.append(b)
+    for b in rets:
+        edges.append((b, entry, True))
+        succ[b].append(entry)
+        pred[entry].append(b)
 
     return NormalizedCFG(
         func=func,
         blocks=blocks,
-        entry=func.entry,
+        entry=entry,
         edges=edges,
         action_block=action_block,
         bind_block=bind_block,

@@ -4,6 +4,11 @@ from types import SimpleNamespace
 
 import pytest
 
+try:
+    from hypothesis import strategies as st
+except ImportError:
+    st = None
+
 from rmcfence import arch, constraints, encode, ir
 from rmcfence.deps import DepAnalysis
 
@@ -215,3 +220,87 @@ def reference_dominated(formula, groups, group):
             if any(weight[y] is not None and weight[y] < w for y in bits(together[x])):
                 never |= 1 << x
     return never
+
+
+if st is not None:
+
+    @st.composite
+    def cfg_sources(draw, max_blocks=8):
+        """Source text of one valid function over a random CFG.
+
+        Each block returns, jumps or branches to blocks other than the
+        entry, chosen at random, so self-loops, `br %c ? a : a`, loops and
+        critical edges all occur; blocks the entry cannot reach are
+        dropped. A block with predecessors may open with phis, one arm per
+        incoming edge, reading a constant or `%e` from the entry. The
+        other instructions are labelled and plain writes, labelled reads,
+        labelled no-ops, binds and ops in random order, so a labelled
+        action may open the entry or any other block. A few `vo` edges,
+        some scoped to a bind, name the labels."""
+        n = draw(st.integers(1, max_blocks))
+        targets = []
+        for i in range(n):
+            shape = draw(st.sampled_from(("ret", "jmp", "br") if n > 1 else ("ret",)))
+            pick = st.integers(1, n - 1)
+            if shape == "jmp":
+                targets.append([draw(pick)])
+            elif shape == "br":
+                then = draw(pick)
+                targets.append([then, then if draw(st.booleans()) else draw(pick)])
+            else:
+                targets.append([])
+        reached, stack = {0}, [0]
+        while stack:
+            for t in targets[stack.pop()]:
+                if t not in reached:
+                    reached.add(t)
+                    stack.append(t)
+        preds = {i: [] for i in reached}
+        for i in sorted(reached):
+            for t in targets[i]:
+                preds[t].append(f"b{i}")
+
+        labels, binds, lines = [], [], []
+        count = iter(range(1 << 30))
+        for i in sorted(reached):
+            lines.append(f"block b{i}:")
+            for _ in range(draw(st.integers(0, 2)) if preds[i] else 0):
+                arms = draw(st.permutations(preds[i]))
+                opnds = [draw(st.sampled_from(("1", "%e"))) for _ in arms]
+                body = ", ".join(f"[{p}: {o}]" for p, o in zip(arms, opnds))
+                lines.append(f"%v{next(count)} = phi {body}")
+            kinds = ("lwrite", "write", "lread", "lnoop", "bind", "op")
+            body = draw(st.lists(st.sampled_from(kinds), max_size=4))
+            if i == 0:
+                body.insert(draw(st.integers(0, len(body))), "entry")
+            for kind in body:
+                k = next(count)
+                if kind in ("lwrite", "lread", "lnoop"):
+                    labels.append(f"l{k}")
+                if kind == "lwrite":
+                    lines.append(f"write @g{k} 1 label l{k}")
+                elif kind == "write":
+                    lines.append(f"write @g{k} 2")
+                elif kind == "lread":
+                    lines.append(f"%v{k} = read @g{k} label l{k}")
+                elif kind == "lnoop":
+                    lines.append(f"noop label l{k}")
+                elif kind == "bind":
+                    binds.append(f"t{k}")
+                    lines.append(f"bind t{k}")
+                elif kind == "op":
+                    lines.append(f"%v{k} = op f{k}()")
+                else:
+                    lines.append("%e = op e()")
+            ts = [f"b{t}" for t in targets[i]]
+            if len(ts) == 2:
+                k = next(count)
+                lines += [f"%c{k} = op c{k}()", f"br %c{k} ? {ts[0]} : {ts[1]}"]
+            else:
+                lines.append(f"jmp {ts[0]}" if ts else "ret")
+        decls = []
+        for _ in range(draw(st.integers(0, 2)) if labels else 0):
+            src, dst = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
+            scope = f"here({draw(st.sampled_from(binds))}) " if binds and draw(st.booleans()) else ""
+            decls.append(f"edge vo {scope}{src} -> {dst};")
+        return "\n".join(["func f {", *decls, *lines, "}"]) + "\n"

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import pytest
 
 try:
@@ -7,9 +10,10 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
-from rmcfence import constraints, ir
-from rmcfence.constraints import ConstraintEdge
+from rmcfence import cli, constraints, ir
+from rmcfence.constraints import BoundaryConstraint, ConstraintEdge
 from rmcfence.ir import Action
+from conftest import ARCHES, CORPUS_NAMES, corpus_path, load_corpus, parse_valid
 
 
 def _setup(text):
@@ -299,3 +303,102 @@ if HAVE_HYPOTHESIS:
     def test_close_matches_brute_force_chains(edges):
         acts = _acts({k: kinds[k] for k in small_ids})
         assert constraints.close(edges, acts) == brute_close(edges, acts)
+
+
+# -- the record contract ----------------------------------------------------
+
+# The frozen dataclasses the constraint records were, kept as the
+# reference for their fields, defaults, repr, equality and hash.
+ReferenceEdge = dataclasses.make_dataclass(
+    "ConstraintEdge",
+    [
+        ("kind", str),
+        ("src", str),
+        ("dst", str),
+        ("bind", "str | None", dataclasses.field(default=None)),
+        ("origin", str, dataclasses.field(default="declared")),
+        ("chain", tuple, dataclasses.field(default=())),
+    ],
+    frozen=True,
+    namespace={"key": lambda self: (self.kind, self.src, self.dst, self.bind)},
+)
+ReferenceBoundary = dataclasses.make_dataclass(
+    "BoundaryConstraint", [("kind", str), ("direction", str), ("action", str)], frozen=True
+)
+
+# Derived edges through no-ops, one of them scoped, and a boundary; no
+# corpus program has a no-op.
+RELAY = """
+func relay {
+  edge vo a -> n;
+  edge xo n -> b;
+  edge pu here(top) a -> m;
+  edge vo here(top) m -> c;
+  edge xo pre -> b;
+  block e:
+    bind top
+    write @x 1 label a
+    noop label n
+    noop label m
+    %v = read @y label b
+    write @z %v label c
+    ret
+}
+"""
+
+
+def _records():
+    """Every declared, derived and boundary record of the corpus and RELAY."""
+    out = []
+    for text in [load_corpus(name) for name in CORPUS_NAMES] + [RELAY]:
+        for f in parse_valid(text):
+            cfg = ir.normalize(f)
+            edges, boundaries = constraints.resolve(f, cfg)
+            out += constraints.close(edges, cfg.actions) + boundaries
+    return out
+
+
+def test_constraint_records_keep_the_dataclass_contract():
+    for rec, ref in ((ConstraintEdge, ReferenceEdge), (BoundaryConstraint, ReferenceBoundary)):
+        fields = dataclasses.fields(ref)
+        assert rec._fields == tuple(f.name for f in fields)
+        assert rec._field_defaults == {
+            f.name: f.default for f in fields if f.default is not dataclasses.MISSING
+        }
+    assert ConstraintEdge("vo", "a", "b") == ConstraintEdge("vo", "a", "b", None, "declared", ())
+
+    recs = _records()
+    origins = {r.origin for r in recs if isinstance(r, ConstraintEdge)}
+    assert origins == {"declared", "derived"}
+    assert any(isinstance(r, BoundaryConstraint) for r in recs)
+    assert any(r.bind is not None for r in recs if isinstance(r, ConstraintEdge))
+    refs = [(ReferenceEdge if isinstance(r, ConstraintEdge) else ReferenceBoundary)(*r) for r in recs]
+    for r, ref in zip(recs, refs):
+        assert repr(r) == repr(ref)
+        assert hash(r) == hash(ref)
+        assert tuple(r) == dataclasses.astuple(ref)
+        if isinstance(r, ConstraintEdge):
+            assert r.key() == ref.key()
+    for (a, ra), (b, rb) in itertools.product(zip(recs, refs), repeat=2):
+        assert (a == b) == (ra == rb)
+        assert (a != b) == (ra != rb)
+
+
+@pytest.mark.parametrize("arch_name", ARCHES)
+def test_explain_is_the_same_with_the_dataclass_records(arch_name, tmp_path, capsys, monkeypatch):
+    relay = tmp_path / "relay.rmcir"
+    relay.write_text(RELAY)
+    paths = [corpus_path(name) for name in CORPUS_NAMES] + [relay]
+
+    def explain_all():
+        outs = []
+        for p in paths:
+            code = cli.main(["explain", str(p), "--arch", arch_name])
+            outs.append((code, capsys.readouterr().out))
+        return outs
+
+    tuples = explain_all()
+    assert "[derived]" in tuples[-1][1]
+    monkeypatch.setattr(constraints, "ConstraintEdge", ReferenceEdge)
+    monkeypatch.setattr(constraints, "BoundaryConstraint", ReferenceBoundary)
+    assert explain_all() == tuples

@@ -295,3 +295,84 @@ if HAVE_HYPOTHESIS:
         depths = graph.weights_and_depths(cfg)[1]
         for s, d, pseudo in cfg.edges:
             assert (depths[(s, d)] > 0) == (not pseudo and comp[s] == comp[d]), (s, d)
+
+
+def reference_sccs(nodes, edges):
+    """The dict-and-set Tarjan that `graph.sccs` replaced, kept as its
+    reference: it scans a node's successors once to recurse and once more
+    to fold in its children's low links."""
+    succ = {n: [] for n in nodes}
+    for u, v in edges:
+        succ[u].append(v)
+    index, low, on_stack = {}, {}, set()
+    stack, out = [], []
+    counter = [0]
+
+    def visit(v):
+        work = [(v, 0)]
+        while work:
+            node, pi = work.pop()
+            if pi == 0:
+                index[node] = low[node] = counter[0]
+                counter[0] += 1
+                stack.append(node)
+                on_stack.add(node)
+            recurse = False
+            for i in range(pi, len(succ[node])):
+                w = succ[node][i]
+                if w not in index:
+                    work.append((node, i + 1))
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if w in on_stack:
+                    low[node] = min(low[node], index[w])
+            if recurse:
+                continue
+            for w in succ[node]:
+                if w in index and w in on_stack and low.get(w, 1 << 60) < low[node]:
+                    low[node] = min(low[node], low[w])
+            if low[node] == index[node]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == node:
+                        break
+                out.append(comp)
+
+    for n in sorted(nodes):
+        if n not in index:
+            visit(n)
+    return out
+
+
+def test_sccs_emits_dependencies_first():
+    nodes = ["a", "b", "c", "d"]
+    edges = [("a", "b"), ("b", "a"), ("b", "c"), ("d", "d"), ("d", "a")]
+    assert graph.sccs(nodes, edges) == [{"c"}, {"a", "b"}, {"d"}]
+    assert graph.sccs(nodes, edges) == reference_sccs(nodes, edges)
+
+
+if HAVE_HYPOTHESIS:
+
+    @st.composite
+    def node_graphs(draw):
+        """(nodes, edges): names given in shuffled order, as a list or as
+        the keys of a dict, with self-loops, duplicate edges and cycles."""
+        n = draw(st.integers(0, 14))
+        names = draw(st.permutations([f"d{i:02}" for i in range(n)]))
+        if not names:
+            return names, []
+        pick = st.sampled_from(names)
+        edges = draw(st.lists(st.tuples(pick, pick), max_size=3 * n))
+        if draw(st.booleans()):
+            names = dict.fromkeys(names, None)
+        return names, edges
+
+    @given(node_graphs())
+    @settings(max_examples=500, deadline=None)
+    def test_sccs_equal_reference(graph_):
+        nodes, edges = graph_
+        assert graph.sccs(nodes, edges) == reference_sccs(nodes, edges)

@@ -97,6 +97,13 @@ DIAGNOSTICS = [
     ('func f { block e: ret } $', "1:25: unexpected character '$'"),
     # integers are ASCII digits, as words and values are ASCII
     ('func f { block e: write @x ٣٤ ret }', "1:28: unexpected character '٣'"),
+    # whitespace is ASCII too: a Unicode space or line separator is a bad
+    # character at its own position, and no line break is counted for it
+    ('func f {\u00a0block e: ret }', "1:9: unexpected character '\\xa0'"),
+    ('func f {\u2028block e: ret }', "1:9: unexpected character '\\u2028'"),
+    ('func f {\u3000block e: ret }', "1:9: unexpected character '\\u3000'"),
+    ('func f {\u2028$ block e: ret }', "1:9: unexpected character '\\u2028'"),
+    ('func f {\n # \u00a0\u2028\u3000 in a comment\n block e: ret } $', "3:17: unexpected character '$'"),
     ('func f { block e: write @x 1 label a; ret }', "1:37: expected instruction, found ';'"),
     ('func f { block e: ret', "1:22: expected '}', found 'end of input'"),
     ('func f { block e: ret }\nfunc f { block e: ret }', "2:6: duplicate function 'f'"),
@@ -217,6 +224,23 @@ def test_validate_use_not_dominated():
         "block b: jmp c block c: write @y %v ret }"
     )
     assert any("not dominated" in d.message for d in ir.validate(f))
+
+
+def test_validate_reports_in_text_order():
+    # uses in text order, then declarations, then unsupported actions; a
+    # value's own instruction does not define it before its operands
+    (f,) = ir.parse(
+        "func f { edge vo a -> zz; block e: noop label a %v = op f(%v) push label p "
+        "write @x %w %w = op g() br %v ? l : r block l: %u = op h() jmp j "
+        "block r: jmp j block j: write @y %u ret }"
+    )
+    assert [d.message for d in ir.validate(f)] == [
+        "f: use of %v in %v = op f(%v) precedes its definition in block 'e'",
+        "f: use of %w in write @x %w precedes its definition in block 'e'",
+        "f: use of %u in write @y %u is not dominated by its definition",
+        "f: edge declaration tag 'zz' labels no action",
+        "f: labelled push (tag 'p') is not supported",
+    ]
 
 
 def test_validate_entry_with_predecessor():
