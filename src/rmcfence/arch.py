@@ -1,29 +1,26 @@
 """Architecture capability profiles and cost tables.
 
-Barrier kinds are capability-tagged abstractions of the real
-instructions (mfence, sync, lwsync, dmb, the dmb ld / dmb ld;dmb st
-pair); costs are abstract weights, configurable per run.
+Barrier kinds are abstractions of the real instructions (mfence, sync,
+lwsync, dmb, the dmb ld / dmb ld;dmb st pair), each tagged with the
+strongest capability level it cuts; costs are abstract weights,
+configurable per run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
+
+# Capability levels, weakest first. A barrier kind cuts the orderings of
+# its level and of every level below it: push => vis => exec =>
+# exec-from-read (exec orders any access against later ones,
+# exec-from-read only a read that yields a value).
+EXEC_FROM_READ, EXEC, VIS, PUSH = range(4)
 
 
-@dataclass(frozen=True)
-class BarrierKind:
+class BarrierKind(NamedTuple):
     id: str
-    cuts_push: bool
-    cuts_vis: bool
-    cuts_exec_any: bool
-    cuts_exec_from_read: bool
-
-    def __post_init__(self):
-        # capability hierarchy: push => vis => exec_any => exec_from_read
-        chain = (self.cuts_push, self.cuts_vis, self.cuts_exec_any, self.cuts_exec_from_read)
-        for a, b in zip(chain, chain[1:]):
-            if a and not b:
-                raise ValueError(f"barrier kind {self.id!r} violates capability hierarchy")
+    level: int  # the strongest capability level it cuts
 
 
 @dataclass(frozen=True)
@@ -39,30 +36,21 @@ class ArchProfile:
                 return k
         raise KeyError(kind_id)
 
-    def kinds_cutting(self, capability):
-        return [k for k in self.barriers if getattr(k, capability)]
-
-
-def _bk(id, level):
-    # level: "push" > "vis" > "exec" > "exec_from_read"
-    return BarrierKind(
-        id,
-        cuts_push=level == "push",
-        cuts_vis=level in ("push", "vis"),
-        cuts_exec_any=level in ("push", "vis", "exec"),
-        cuts_exec_from_read=True,
-    )
+    def kinds_cutting(self, level):
+        """The kinds that cut `level`: those of that level or stronger."""
+        return [k for k in self.barriers if k.level >= level]
 
 
 _PROFILES = {
-    "x86": ArchProfile("x86", barriers=(_bk("mfence", "push"),), vis_exec_free=True),
-    "armv7": ArchProfile("armv7", barriers=(_bk("dmb", "push"),)),
+    "x86": ArchProfile("x86", barriers=(BarrierKind("mfence", PUSH),), vis_exec_free=True),
+    "armv7": ArchProfile("armv7", barriers=(BarrierKind("dmb", PUSH),)),
     "armv8": ArchProfile(
         "armv8",
-        barriers=(_bk("dmb", "push"), _bk("dmb_ldst", "vis"), _bk("dmb_ld", "exec_from_read")),
+        barriers=(BarrierKind("dmb", PUSH), BarrierKind("dmb_ldst", VIS),
+                  BarrierKind("dmb_ld", EXEC_FROM_READ)),
         modes=("acquire", "release"),
     ),
-    "power": ArchProfile("power", barriers=(_bk("sync", "push"), _bk("lwsync", "vis"))),
+    "power": ArchProfile("power", barriers=(BarrierKind("sync", PUSH), BarrierKind("lwsync", VIS))),
 }
 
 PROFILE_NAMES = tuple(_PROFILES)
@@ -160,24 +148,18 @@ def load_costs(profile, path=None, text=None):
 
 def _hierarchy_warnings(profile, table):
     """push-capable >= vis-capable >= exec-capable >= dependency costs."""
-    warnings = []
-    levels = {"cuts_push": [], "cuts_vis": [], "cuts_exec_any": []}
+    names = {PUSH: "cuts_push", VIS: "cuts_vis", EXEC: "cuts_exec_any"}
+    cheapest = {}  # level, exec-from-read counted as exec -> its cheapest kind's cost
     for k in profile.barriers:
-        if k.cuts_push:
-            levels["cuts_push"].append(table.kind(k.id))
-        elif k.cuts_vis:
-            levels["cuts_vis"].append(table.kind(k.id))
-        elif k.cuts_exec_any or k.cuts_exec_from_read:
-            levels["cuts_exec_any"].append(table.kind(k.id))
-    seq = []
-    for cap in ("cuts_push", "cuts_vis", "cuts_exec_any"):
-        if levels[cap]:
-            seq.append((cap, min(levels[cap])))
-    for (cap_a, a), (cap_b, b) in zip(seq, seq[1:]):
+        level, cost = max(k.level, EXEC), table.kind(k.id)
+        cheapest[level] = min(cost, cheapest.get(level, cost))
+    seq = sorted(cheapest.items(), reverse=True)
+    warnings = []
+    for (level_a, a), (level_b, b) in zip(seq, seq[1:]):
         if a < b:
-            warnings.append(f"cost ordering violated: {cap_a} barrier cheaper than {cap_b}")
-    if seq:
-        dep_max = max(table.dep_costs.values())
-        if seq[-1][1] < dep_max:
-            warnings.append("cost ordering violated: a barrier is cheaper than a dependency use")
+            warnings.append(
+                f"cost ordering violated: {names[level_a]} barrier cheaper than {names[level_b]}"
+            )
+    if seq and seq[-1][1] < max(table.dep_costs.values()):
+        warnings.append("cost ordering violated: a barrier is cheaper than a dependency use")
     return warnings

@@ -315,7 +315,7 @@ def main(argv=None):
     }[args.cmd]
     try:
         return handler(args)
-    except (ir.ParseError, constraints.ConstraintError) as exc:
+    except ir.ParseError as exc:
         for d in exc.diagnostics:
             print(f"error: {d}", file=sys.stderr)
         return EXIT_INPUT

@@ -23,15 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .ir import Diagnostic, RESERVED_TAGS
-
 STRENGTH = {"xo": 0, "vo": 1, "pu": 2}
-
-
-class ConstraintError(Exception):
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
 # The constraint records are tuples, so building, hashing and comparing
@@ -62,15 +54,10 @@ def resolve(func, cfg):
     for a in cfg.actions.values():
         for t in a.labels:
             tags.setdefault(t, []).append(a.id)
-    edges, boundaries, diags = [], [], []
+    edges, boundaries = [], []
     seen = set()
     for decl in func.decls:
-        if decl.src == "pre" or decl.dst == "post":
-            if decl.kind == "pu":
-                diags.append(
-                    Diagnostic(0, 0, f"{func.name}: pu edges do not support pre/post")
-                )
-                continue
+        if decl.src == "pre" or decl.dst == "post":  # vo or xo: the parser rejects pu
             tag = decl.dst if decl.src == "pre" else decl.src
             direction = "pre" if decl.src == "pre" else "post"
             for a in tags.get(tag, []):
@@ -84,8 +71,6 @@ def resolve(func, cfg):
                 if key not in seen:
                     seen.add(key)
                     edges.append(ConstraintEdge(kind, s, t, bind_block))
-    if diags:
-        raise ConstraintError(diags)
     return edges, boundaries
 
 

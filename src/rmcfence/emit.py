@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .ir import Action, instr_str, term_str
+from .ir import print_function
 
 
-@dataclass(frozen=True)
-class BarrierPlacement:
+# Plan items are tuples whose fields are the keys of their JSON objects,
+# in order; `_ITEMS` names the plan list each one fills.
+class BarrierPlacement(NamedTuple):
     kind: str
     src: str
     dst: str
@@ -26,25 +28,26 @@ class BarrierPlacement:
     position: str  # "begin" | "end"
 
 
-@dataclass(frozen=True)
-class CtrlUse:
+class CtrlUse(NamedTuple):
     source: str  # action whose value the branch must keep depending on
     src: str
     dst: str
     mode: str  # existing | synth
 
 
-@dataclass(frozen=True)
-class DataUse:
+class DataUse(NamedTuple):
     bind: str  # binding block id or "-"
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class ModeUse:
+class ModeUse(NamedTuple):
     mode: str  # acquire | release
     action: str
+
+
+_ITEMS = {"barriers": BarrierPlacement, "ctrl_uses": CtrlUse, "data_uses": DataUse,
+          "modes": ModeUse}
 
 
 @dataclass
@@ -69,64 +72,35 @@ def edge_anchor(cfg, src, dst):
 def to_plan(problem, cfg, assignment):
     status = "optimal" if assignment.optimal else "incumbent"
     plan = PlacementPlan(problem.function, problem.arch, assignment.cost, status)
-    data_seen = set()
+    data_uses = set()  # one use per (bind, source, target), whatever its paths
     for v in sorted(assignment.true_vars):
         if v.kind == "barrier":
             k, s, d = v.detail
-            anchor, pos = edge_anchor(cfg, s, d)
-            plan.barriers.append(BarrierPlacement(k, s, d, anchor, pos))
+            plan.barriers.append(BarrierPlacement(k, s, d, *edge_anchor(cfg, s, d)))
         elif v.kind == "use_ctrl":
-            s, es, ed, mode = v.detail
-            plan.ctrl_uses.append(CtrlUse(s, es, ed, mode))
+            plan.ctrl_uses.append(CtrlUse(*v.detail))
         elif v.kind == "use_data":
-            b, s, t, _pid = v.detail
-            if (b, s, t) not in data_seen:
-                data_seen.add((b, s, t))
-                plan.data_uses.append(DataUse(b, s, t))
+            data_uses.add(DataUse(*v.detail[:3]))
         else:
-            plan.modes.append(ModeUse(v.kind, v.detail[0]))
+            plan.modes.append(ModeUse(v.kind, *v.detail))
     plan.barriers.sort(key=lambda p: (p.src, p.dst, p.kind))
     plan.ctrl_uses.sort(key=lambda u: (u.source, u.src, u.dst))
-    plan.data_uses.sort(key=lambda u: (u.source, u.target, u.bind))
+    plan.data_uses = sorted(data_uses, key=lambda u: (u.source, u.target, u.bind))
     plan.modes.sort(key=lambda m: (m.action, m.mode))
     return plan
 
 
 def plan_to_dict(plan):
-    return {
-        "function": plan.function,
-        "arch": plan.arch,
-        "cost": plan.cost,
-        "status": plan.status,
-        "barriers": [
-            {"kind": b.kind, "src": b.src, "dst": b.dst, "anchor": b.anchor, "position": b.position}
-            for b in plan.barriers
-        ],
-        "ctrl_uses": [
-            {"source": u.source, "src": u.src, "dst": u.dst, "mode": u.mode}
-            for u in plan.ctrl_uses
-        ],
-        "data_uses": [
-            {"bind": u.bind, "source": u.source, "target": u.target} for u in plan.data_uses
-        ],
-        "modes": [{"mode": m.mode, "action": m.action} for m in plan.modes],
-    }
+    d = {"function": plan.function, "arch": plan.arch, "cost": plan.cost, "status": plan.status}
+    for key in _ITEMS:
+        d[key] = [item._asdict() for item in getattr(plan, key)]
+    return d
 
 
 def plan_from_dict(d):
-    return PlacementPlan(
-        function=d["function"],
-        arch=d["arch"],
-        cost=d["cost"],
-        status=d.get("status", "optimal"),
-        barriers=[
-            BarrierPlacement(b["kind"], b["src"], b["dst"], b["anchor"], b["position"])
-            for b in d["barriers"]
-        ],
-        ctrl_uses=[CtrlUse(u["source"], u["src"], u["dst"], u["mode"]) for u in d["ctrl_uses"]],
-        data_uses=[DataUse(u["bind"], u["source"], u["target"]) for u in d["data_uses"]],
-        modes=[ModeUse(m["mode"], m["action"]) for m in d["modes"]],
-    )
+    items = {key: [cls(*(x[k] for k in cls._fields)) for x in d[key]]
+             for key, cls in _ITEMS.items()}
+    return PlacementPlan(d["function"], d["arch"], d["cost"], d.get("status", "optimal"), **items)
 
 
 def plans_to_json(plans):
@@ -135,16 +109,9 @@ def plans_to_json(plans):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-# The keys `plan_from_dict` needs in a plan, with their types.
+# The keys `plan_from_dict` needs in a plan, with their types; each item
+# of each `_ITEMS` list needs its class's fields, every value a string.
 _PLAN_KEYS = (("function", str, "a string"), ("arch", str, "a string"), ("cost", int, "an integer"))
-
-# The keys `plan_from_dict` reads from each item of each list; every value is a string.
-_ITEM_KEYS = {
-    "barriers": ("kind", "src", "dst", "anchor", "position"),
-    "ctrl_uses": ("source", "src", "dst", "mode"),
-    "data_uses": ("bind", "source", "target"),
-    "modes": ("mode", "action"),
-}
 
 
 class PlanFormatError(ValueError):
@@ -172,14 +139,14 @@ def plans_from_json(text):
                 raise PlanFormatError(f"plan {i} in the plan file has no {key!r}")
             if not isinstance(d[key], kind) or isinstance(d[key], bool):
                 raise PlanFormatError(f"plan {i} in the plan file: {key!r} is not {name}")
-        for key, required in _ITEM_KEYS.items():
+        for key, cls in _ITEMS.items():
             items = d.get(key)
             if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
                 raise PlanFormatError(
                     f"plan {i} in the plan file: {key!r} is not a list of objects"
                 )
             for j, item in enumerate(items):
-                for k in required:
+                for k in cls._fields:
                     if k not in item:
                         raise PlanFormatError(f"plan for {d['function']}: {key}[{j}] has no {k!r}")
                     if not isinstance(item[k], str):
@@ -232,18 +199,4 @@ def annotate(func, cfg, plan):
     for m in plan.modes:
         note(cfg.action_block[m.action], "begin", f";; {m.mode.upper()} {m.action}")
 
-    lines = [f"func {func.name} {{  ;; arch {plan.arch}, cost {plan.cost}"]
-    for d in func.decls:
-        here = f"here({d.bind}) " if d.bind else ""
-        lines.append(f"  edge {d.kind} {here}{d.src} -> {d.dst};")
-    for blk in func.blocks.values():
-        lines.append(f"  block {blk.id}:")
-        for i, ins in enumerate(blk.instrs):
-            for text in notes.get((blk.id, i), ()):
-                lines.append(f"    {text}")
-            lines.append(f"    {instr_str(ins)}")
-        for text in notes.get((blk.id, len(blk.instrs)), ()):
-            lines.append(f"    {text}")
-        lines.append(f"    {term_str(blk.term)}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return print_function(func, notes, f"  ;; arch {plan.arch}, cost {plan.cost}")

@@ -16,9 +16,8 @@ barrier variable sits on an edge of some s->t walk. An xo edge is cut
 path by path (`xcut_path`), because a data dependency serves a path,
 not a walk; its self-ordering requirement makes those definitions
 cyclic too. A path is cut by an exec-capable barrier, and the capability
-hierarchy of `arch.BarrierKind` (push => vis => exec) makes every
-visibility barrier one, so the vo half of the xo rule adds only the
-target's release.
+levels of `arch` (push > vis > exec) make every visibility barrier
+one, so the vo half of the xo rule adds only the target's release.
 
 Only what a plan can change is encoded. On a profile where visibility
 and execution order are free (x86), every vo, xo and boundary
@@ -53,6 +52,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import graph
+from .arch import EXEC, EXEC_FROM_READ, PUSH, VIS
 
 TRUE = ("const", True)
 FALSE = ("const", False)
@@ -224,8 +224,8 @@ class Encoder:
 
         return grow(sblk, tblk, self.cfg.succ) & grow(tblk, sblk, self.cfg.pred)
 
-    def _walk_cut(self, name, cap, bind, s, t):
-        """Every s->t walk avoiding `bind` crosses a `cap` barrier.
+    def _walk_cut(self, name, level, bind, s, t):
+        """Every s->t walk avoiding `bind` crosses a barrier cutting `level`.
 
         U(v), defined as `name@v` on the live blocks, says that every
         walk from the source to v crosses one: the AND over in-edges
@@ -238,7 +238,7 @@ class Encoder:
         if bind in (sblk, tblk):
             return TRUE
         live = self._live_blocks(bind, sblk, tblk)
-        kinds = self.profile.kinds_cutting(cap)
+        kinds = self.profile.kinds_cutting(level)
 
         def in_cut(v):
             conj = []
@@ -259,7 +259,7 @@ class Encoder:
     def _pcut(self, edge):
         name = f"pcut({self._bstr(edge.bind)},{edge.src},{edge.dst})"
         if name not in self.defs:
-            self._define(name, self._walk_cut(name, "cuts_push", edge.bind, edge.src, edge.dst))
+            self._define(name, self._walk_cut(name, PUSH, edge.bind, edge.src, edge.dst))
         return ("def", name)
 
     def _vcut(self, edge):
@@ -267,7 +267,7 @@ class Encoder:
         if name not in self.defs:
             body = _or(
                 [
-                    self._walk_cut(name, "cuts_vis", edge.bind, edge.src, edge.dst),
+                    self._walk_cut(name, VIS, edge.bind, edge.src, edge.dst),
                     self._release_term(self.cfg.actions[edge.dst]),
                 ]
             )
@@ -319,9 +319,7 @@ class Encoder:
         if name in self.defs:
             return ("def", name)
         edges_ = list(zip(path, path[1:]))
-        exec_kinds = self.profile.kinds_cutting(
-            "cuts_exec_from_read" if s_action.reads_value else "cuts_exec_any"
-        )
+        exec_kinds = self.profile.kinds_cutting(EXEC_FROM_READ if s_action.reads_value else EXEC)
         # every vis-capable kind is exec-capable, so the barrier half of
         # the vo rule is already among exec_kinds
         disj = [
@@ -359,13 +357,11 @@ class Encoder:
         conj = []
         for e in edges_:
             if bc.kind == "vo":
-                kinds = self.profile.kinds_cutting("cuts_vis")
+                kinds = self.profile.kinds_cutting(VIS)
                 extra = self._release_term(action) if bc.direction == "pre" else FALSE
             else:
                 reads = bc.direction == "post" and action.reads_value
-                kinds = self.profile.kinds_cutting(
-                    "cuts_exec_from_read" if reads else "cuts_exec_any"
-                )
+                kinds = self.profile.kinds_cutting(EXEC_FROM_READ if reads else EXEC)
                 extra = self._acquire_term(action) if reads else FALSE
             conj.append(_or([self._barriers_on([e], kinds), extra]))
         return _and(conj)

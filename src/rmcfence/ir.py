@@ -312,6 +312,8 @@ class _Parser:
             self.fail(i, "'pre' and 'post' may not appear in the same declaration")
         if bind is not None and (src in RESERVED_TAGS or dst in RESERVED_TAGS):
             self.fail(i, "pre/post declarations may not carry a binding point")
+        if kind == "pu" and (src == "pre" or dst == "post"):
+            self.fail(i if src == "pre" else i + 2, "pu edges do not support pre/post")
         decls.append(ConstraintDecl(kind, src, dst, bind))
         return i + 4
 
@@ -415,6 +417,10 @@ class _Parser:
             labels = ()
             if toks[i] == "label":
                 labels = self.label(i + 1)
+                if t == "push":
+                    # A push that constraints could name would need push-edge
+                    # semantics (vo into it, xo out of it), which nothing implements.
+                    self.fail(i + 1, f"labelled push (tag {labels[0]!r}) is not supported")
                 i += 2
             elif t == "noop":
                 self.fail(i, "noop requires a label")
@@ -550,16 +556,19 @@ def term_str(term):
     return "ret" if term.value is None else f"ret {_opnd_str(term.value)}"
 
 
-def print_function(func):
-    lines = [f"func {func.name} {{"]
+def print_function(func, notes={}, header=""):
+    """The function's source text. `notes[(block, i)]` lists lines printed
+    before instruction i of the block, where i equal to the instruction
+    count means the terminator; `header` follows the opening brace."""
+    lines = [f"func {func.name} {{{header}"]
     for d in func.decls:
         here = f"here({d.bind}) " if d.bind else ""
         lines.append(f"  edge {d.kind} {here}{d.src} -> {d.dst};")
     for blk in func.blocks.values():
         lines.append(f"  block {blk.id}:")
-        for ins in blk.instrs:
-            lines.append(f"    {instr_str(ins)}")
-        lines.append(f"    {term_str(blk.term)}")
+        for i, node in enumerate([*blk.instrs, blk.term]):
+            lines.extend(f"    {text}" for text in notes.get((blk.id, i), ()))
+            lines.append(f"    {_node_str(node)}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -706,7 +715,6 @@ def validate(func):
     # In text order: a message, or a use (value, block, index, instruction
     # or terminator); a phi arm's use has the arm's block and index None.
     pending = []
-    late = []  # unlabelled no-ops and labelled pushes, reported after the declarations
     for bid, blk in blocks.items():
         in_phis = True
         for i, ins in enumerate(blk.instrs):
@@ -732,14 +740,7 @@ def validate(func):
                     pending.append((ins.loc.value, bid, i, ins))
                 if isinstance(ins.data, str):
                     pending.append((ins.data, bid, i, ins))
-                if ins.labels:
-                    labelled.update(ins.labels)
-                    # A push that constraints could name would need push-edge
-                    # semantics (vo into it, xo out of it), which nothing implements.
-                    if ins.kind == "push":
-                        late.append(f"labelled push (tag {ins.labels[0]!r}) is not supported")
-                elif ins.kind == "noop":
-                    late.append("noop action without a label")
+                labelled.update(ins.labels)
             elif isinstance(ins, PureOp):
                 def_site[ins.defines] = (bid, i)
                 for a in ins.args:
@@ -775,8 +776,6 @@ def validate(func):
         for tag in (d.src, d.dst):
             if tag not in RESERVED_TAGS and tag not in labelled:
                 bad(f"edge declaration tag {tag!r} labels no action")
-    for msg in late:
-        bad(msg)
     return diags
 
 

@@ -19,10 +19,9 @@ deliberately simple baseline the optimizer is measured against.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from . import graph
-from .arch import CostTable
+from .arch import EXEC, EXEC_FROM_READ, PUSH, VIS
 from .emit import BarrierPlacement, PlacementPlan, edge_anchor
 from .ir import Branch, Phi, PureOp, dominance
 
@@ -40,12 +39,13 @@ class PlanChecker:
         self.cfg = cfg
         self.profile = profile
         self.cap = path_cap
-        self.barriers = {}  # (src, dst) -> set of kind ids
+        self.levels = {}  # (src, dst) -> the strongest capability level placed on it
         for b in plan.barriers:
-            self.barriers.setdefault((b.src, b.dst), set()).add(b.kind)
-        self.ctrl_uses = {(u.source, u.src, u.dst, u.mode) for u in plan.ctrl_uses}
-        self.data_uses = {(u.bind, u.source, u.target) for u in plan.data_uses}
-        self.modes = {(m.mode, m.action) for m in plan.modes}
+            e = (b.src, b.dst)
+            self.levels[e] = max(self.levels.get(e, -1), profile.kind(b.kind).level)
+        self.ctrl_uses = set(plan.ctrl_uses)
+        self.data_uses = set(plan.data_uses)
+        self.modes = set(plan.modes)
         self.defs = {}
         for blk in cfg.blocks.values():
             for ins in blk.instrs:
@@ -143,11 +143,8 @@ class PlanChecker:
 
     # -- direct rule evaluation --
 
-    def _edge_kinds(self, e):
-        return self.barriers.get(e, set())
-
-    def _has(self, e, pred):
-        return any(pred(self.profile.kind(k)) for k in self._edge_kinds(e))
+    def _level(self, e):
+        return self.levels.get(e, -1)
 
     def vo_released(self, t_action):
         return t_action.is_write and ("release", t_action.id) in self.modes
@@ -155,20 +152,20 @@ class PlanChecker:
     def vo_path_cut(self, path, t_action):
         if self.vo_released(t_action):
             return True
-        return any(self._has(e, lambda k: k.cuts_vis) for e in zip(path, path[1:]))
+        return any(self._level(e) >= VIS for e in zip(path, path[1:]))
 
-    def uncut_path(self, a, b, excluded, cap):
-        """A path a->b avoiding `excluded` with no barrier of capability
-        `cap` on it, or None."""
-        return _uncut_path(self.cfg.succ, a, b, excluded, lambda e: self._has(e, cap))
+    def uncut_path(self, a, b, excluded, level):
+        """A path a->b avoiding `excluded` with no barrier cutting `level`
+        on it, or None."""
+        return _uncut_path(self.cfg.succ, a, b, excluded, lambda e: self._level(e) >= level)
 
     def xo_path_cut(self, bind, s_action, t_action, path, assume_self=False):
         if self.vo_path_cut(path, t_action):
             return True
         reads = s_action.reads_value
-        for e in zip(path, path[1:]):
-            if self._has(e, lambda k: k.cuts_exec_any or (reads and k.cuts_exec_from_read)):
-                return True
+        level = EXEC_FROM_READ if reads else EXEC
+        if any(self._level(e) >= level for e in zip(path, path[1:])):
+            return True
         if reads and ("acquire", s_action.id) in self.modes:
             return True
         if not reads:
@@ -297,9 +294,9 @@ def check_plan(cfg, edges, boundaries, profile, plan, path_cap=graph.DEFAULT_MAX
                 if not ck.xo_path_cut(edge.bind, s_action, t_action, path)
             ]
         elif edge.kind == "pu":
-            uncut = [ck.uncut_path(sblk, tblk, edge.bind, lambda k: k.cuts_push)]
+            uncut = [ck.uncut_path(sblk, tblk, edge.bind, PUSH)]
         elif not ck.vo_released(t_action):
-            uncut = [ck.uncut_path(sblk, tblk, edge.bind, lambda k: k.cuts_vis)]
+            uncut = [ck.uncut_path(sblk, tblk, edge.bind, VIS)]
         else:
             uncut = []
         scope = f" @{edge.bind}" if edge.bind else ""
@@ -309,16 +306,16 @@ def check_plan(cfg, edges, boundaries, profile, plan, path_cap=graph.DEFAULT_MAX
         action = cfg.actions[bc.action]
         for e in _boundary_edges(cfg, bc):
             if bc.kind == "vo":
-                ok = ck._has(e, lambda k: k.cuts_vis) or (
+                ok = ck._level(e) >= VIS or (
                     bc.direction == "pre"
                     and action.is_write
                     and ("release", action.id) in ck.modes
                 )
             else:
                 reads = action.reads_value and bc.direction == "post"
-                ok = ck._has(
-                    e, lambda k: k.cuts_exec_any or (reads and k.cuts_exec_from_read)
-                ) or (reads and ("acquire", action.id) in ck.modes)
+                ok = ck._level(e) >= (EXEC_FROM_READ if reads else EXEC) or (
+                    reads and ("acquire", action.id) in ck.modes
+                )
             if not ok:
                 out.append(f"UNCUT {bc.direction}({bc.kind}) {bc.action} at {e[0]}->{e[1]}")
     return out
@@ -330,11 +327,11 @@ def plan_cost(cfg, costs, plan):
     times its price, an access mode the heaviest weight of an edge into
     its action's block (1 if none), a data-dependency use its price.
     Edge weights are computed only when something placed needs them."""
-    barriers = {(b.kind, b.src, b.dst) for b in plan.barriers}
-    ctrl = {(u.source, u.src, u.dst, u.mode) for u in plan.ctrl_uses}
-    modes = {(m.mode, m.action) for m in plan.modes}
+    barriers = {b[:3] for b in plan.barriers}  # (kind, src, dst), whatever the anchor
+    ctrl = set(plan.ctrl_uses)
+    modes = set(plan.modes)
     weights = graph.edge_weights(cfg, costs.loop_factor) if barriers or ctrl or modes else {}
-    cost = len({(u.bind, u.source, u.target) for u in plan.data_uses}) * costs.dep("data_existing")
+    cost = len(set(plan.data_uses)) * costs.dep("data_existing")
     cost += sum(weights[(s, d)] * costs.kind(k) for k, s, d in barriers)
     for _, s, d, mode in ctrl:
         cost += weights[(s, d)] * costs.dep("ctrl_existing" if mode == "existing" else "ctrl_synth")
@@ -406,19 +403,19 @@ def greedy(cfg, edges, boundaries, profile, costs):
 
     def capability(kind, s_action):
         if kind == "pu":
-            return "cuts_push"
+            return PUSH
         if kind == "vo":
-            return "cuts_vis"
-        return "cuts_exec_from_read" if s_action.reads_value else "cuts_exec_any"
+            return VIS
+        return EXEC_FROM_READ if s_action.reads_value else EXEC
 
-    def cheapest(cap_name):
-        kinds = profile.kinds_cutting(cap_name)
+    def cheapest(level):
+        kinds = profile.kinds_cutting(level)
         if not kinds:
             return None
         return min(kinds, key=lambda k: (costs.kind(k.id), k.id)).id
 
-    def cut(e, cap_name):
-        return any(getattr(profile.kind(k), cap_name) for k in placed.get(e, ()))
+    def cut(e, level):
+        return any(profile.kind(k).level >= level for k in placed.get(e, ()))
 
     def place(e, kind_id):
         placed.setdefault(e, set()).add(kind_id)
@@ -427,26 +424,24 @@ def greedy(cfg, edges, boundaries, profile, costs):
         s_action = cfg.actions[edge.src]
         if profile.vis_exec_free and edge.kind != "pu":
             continue
-        cap_name = capability(edge.kind, s_action)
+        level = capability(edge.kind, s_action)
         sblk = cfg.action_block[edge.src]
         tblk = cfg.action_block[edge.dst]
-        if _uncut_path(cfg.succ, sblk, tblk, edge.bind, lambda e: cut(e, cap_name)) is None:
+        if _uncut_path(cfg.succ, sblk, tblk, edge.bind, lambda e: cut(e, level)) is None:
             continue
-        kind_id = cheapest(cap_name)
+        kind_id = cheapest(level)
         for s in cfg.pred[tblk]:
             place((s, tblk), kind_id)
     for bc in boundaries:
         if profile.vis_exec_free:
             continue
         action = cfg.actions[bc.action]
-        cap_name = "cuts_vis" if bc.kind == "vo" else (
-            "cuts_exec_from_read"
-            if bc.direction == "post" and action.reads_value
-            else "cuts_exec_any"
+        level = VIS if bc.kind == "vo" else (
+            EXEC_FROM_READ if bc.direction == "post" and action.reads_value else EXEC
         )
         for e in _boundary_edges(cfg, bc):
-            if not cut(e, cap_name):
-                place(e, cheapest(cap_name))
+            if not cut(e, level):
+                place(e, cheapest(level))
 
     plan = PlacementPlan(cfg.func.name, profile.name, 0)
     for (s, d), kinds in sorted(placed.items()):

@@ -14,29 +14,37 @@ def test_unknown_profile():
         arch.builtin_profile("mips")
 
 
-def test_capability_hierarchy_enforced():
-    with pytest.raises(ValueError):
-        arch.BarrierKind("weird", cuts_push=True, cuts_vis=False,
-                         cuts_exec_any=True, cuts_exec_from_read=True)
+@pytest.mark.parametrize("name", arch.PROFILE_NAMES)
+def test_kinds_cutting_nests_on_every_profile(name):
+    # push => vis => exec => exec-from-read, and every kind cuts exec-from-read
+    p = arch.builtin_profile(name)
+    cutting = [set(p.kinds_cutting(level))
+               for level in (arch.PUSH, arch.VIS, arch.EXEC, arch.EXEC_FROM_READ)]
+    for stronger, weaker in zip(cutting, cutting[1:]):
+        assert stronger <= weaker
+    assert cutting[-1] == set(p.barriers)
 
 
 def test_kind_capabilities():
     v8 = arch.builtin_profile("armv8")
-    dmb = v8.kind("dmb")
-    assert dmb.cuts_push and dmb.cuts_vis and dmb.cuts_exec_any
-    ldst = v8.kind("dmb_ldst")
-    assert not ldst.cuts_push and ldst.cuts_vis
-    ld = v8.kind("dmb_ld")
-    assert not ld.cuts_exec_any and ld.cuts_exec_from_read
+    assert v8.kind("dmb").level == arch.PUSH
+    assert v8.kind("dmb_ldst").level == arch.VIS
+    assert v8.kind("dmb_ld").level == arch.EXEC_FROM_READ
     assert set(v8.modes) == {"acquire", "release"}
     power = arch.builtin_profile("power")
-    assert power.kind("lwsync").cuts_vis and not power.kind("lwsync").cuts_push
+    assert power.kind("sync").level == arch.PUSH
+    assert power.kind("lwsync").level == arch.VIS
+    assert arch.builtin_profile("armv7").kind("dmb").level == arch.PUSH
+    assert arch.builtin_profile("x86").kind("mfence").level == arch.PUSH
 
 
 def test_kinds_cutting():
     power = arch.builtin_profile("power")
-    assert [k.id for k in power.kinds_cutting("cuts_push")] == ["sync"]
-    assert {k.id for k in power.kinds_cutting("cuts_vis")} == {"sync", "lwsync"}
+    assert [k.id for k in power.kinds_cutting(arch.PUSH)] == ["sync"]
+    assert {k.id for k in power.kinds_cutting(arch.VIS)} == {"sync", "lwsync"}
+    v8 = arch.builtin_profile("armv8")
+    assert [k.id for k in v8.kinds_cutting(arch.EXEC)] == ["dmb", "dmb_ldst"]
+    assert [k.id for k in v8.kinds_cutting(arch.EXEC_FROM_READ)] == ["dmb", "dmb_ldst", "dmb_ld"]
 
 
 def test_default_costs():

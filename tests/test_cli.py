@@ -406,7 +406,7 @@ def test_labelled_push_is_rejected(tmp_path, capsys):
     )
     code, out, err = run(capsys, "compile", str(src), "--arch", "power")
     assert (code, out) == (cli.EXIT_INPUT, "")
-    assert err == "error: 0:0: sb: labelled push (tag 'P') is not supported\n"
+    assert err == "error: 1:89: labelled push (tag 'P') is not supported\n"
 
 
 def test_xo_across_a_long_jump_chain(tmp_path, capsys):

@@ -59,11 +59,9 @@ def test_resolve_boundaries():
 
 
 def test_resolve_rejects_push_boundaries():
-    f, cfg = _setup(
-        "func f { edge pu pre -> a; block e: write @x 1 label a ret }"
-    )
-    with pytest.raises(constraints.ConstraintError):
-        constraints.resolve(f, cfg)
+    # the parser rejects them, so resolve never sees one
+    with pytest.raises(ir.ParseError, match="pu edges do not support pre/post"):
+        _setup("func f { edge pu pre -> a; block e: write @x 1 label a ret }")
 
 
 def test_resolve_scoped_bind_block():

@@ -1,7 +1,12 @@
+import functools
 import json
 
-from rmcfence import emit, ir, solver
+import pytest
+
+from rmcfence import emit, ir, solver, verify
 from conftest import ARCHES, CORPUS_NAMES, analyze_corpus
+
+FLAG_SETS = ({}, {"synth_deps": True}, {"ctrl_deps": False}, {"data_deps": False})
 
 
 def _plans(name, arch_name):
@@ -76,3 +81,183 @@ def test_plan_elements_are_sorted():
             assert plan.data_uses == sorted(
                 plan.data_uses, key=lambda u: (u.source, u.target, u.bind)
             )
+
+
+# ---------------------------------------------------------------------------
+# The plan format and annotated text as written before plan items were
+# tuples and `annotate` printed through `ir.print_function`; the current
+# code must give equal dicts, equal plans and equal text.
+
+# The keys the plan format reads from each item of each list.
+REFERENCE_ITEM_KEYS = {
+    "barriers": ("kind", "src", "dst", "anchor", "position"),
+    "ctrl_uses": ("source", "src", "dst", "mode"),
+    "data_uses": ("bind", "source", "target"),
+    "modes": ("mode", "action"),
+}
+
+
+def reference_plan_to_dict(plan):
+    return {
+        "function": plan.function,
+        "arch": plan.arch,
+        "cost": plan.cost,
+        "status": plan.status,
+        "barriers": [
+            {"kind": b.kind, "src": b.src, "dst": b.dst, "anchor": b.anchor, "position": b.position}
+            for b in plan.barriers
+        ],
+        "ctrl_uses": [
+            {"source": u.source, "src": u.src, "dst": u.dst, "mode": u.mode}
+            for u in plan.ctrl_uses
+        ],
+        "data_uses": [
+            {"bind": u.bind, "source": u.source, "target": u.target} for u in plan.data_uses
+        ],
+        "modes": [{"mode": m.mode, "action": m.action} for m in plan.modes],
+    }
+
+
+def reference_plan_from_dict(d):
+    return emit.PlacementPlan(
+        function=d["function"],
+        arch=d["arch"],
+        cost=d["cost"],
+        status=d.get("status", "optimal"),
+        barriers=[
+            emit.BarrierPlacement(b["kind"], b["src"], b["dst"], b["anchor"], b["position"])
+            for b in d["barriers"]
+        ],
+        ctrl_uses=[emit.CtrlUse(u["source"], u["src"], u["dst"], u["mode"])
+                   for u in d["ctrl_uses"]],
+        data_uses=[emit.DataUse(u["bind"], u["source"], u["target"]) for u in d["data_uses"]],
+        modes=[emit.ModeUse(m["mode"], m["action"]) for m in d["modes"]],
+    )
+
+
+def reference_annotate(func, cfg, plan):
+    notes = {}  # (orig block, index) -> [str]
+
+    def note(block, position, text):
+        key = emit._resolve_anchor(cfg, block, position)
+        notes.setdefault(key, []).append(text)
+
+    for b in plan.barriers:
+        note(b.anchor, b.position, f";; BARRIER {b.kind} on edge {b.src}->{b.dst}")
+    for u in plan.ctrl_uses:
+        anchor, pos = emit.edge_anchor(cfg, u.src, u.dst)
+        note(anchor, pos, f";; USE-CTRL {u.source} ({u.mode}) on edge {u.src}->{u.dst}")
+    for u in plan.data_uses:
+        note(cfg.action_block[u.target], "begin", f";; USE-DATA {u.source} -> {u.target}")
+    for m in plan.modes:
+        note(cfg.action_block[m.action], "begin", f";; {m.mode.upper()} {m.action}")
+
+    lines = [f"func {func.name} {{  ;; arch {plan.arch}, cost {plan.cost}"]
+    for d in func.decls:
+        here = f"here({d.bind}) " if d.bind else ""
+        lines.append(f"  edge {d.kind} {here}{d.src} -> {d.dst};")
+    for blk in func.blocks.values():
+        lines.append(f"  block {blk.id}:")
+        for i, ins in enumerate(blk.instrs):
+            for text in notes.get((blk.id, i), ()):
+                lines.append(f"    {text}")
+            lines.append(f"    {ir.instr_str(ins)}")
+        for text in notes.get((blk.id, len(blk.instrs)), ()):
+            lines.append(f"    {text}")
+        lines.append(f"    {ir.term_str(blk.term)}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _all_plans():
+    """(analysis, plan) for every corpus function x arch x flag set, the
+    solver's plan and the greedy one."""
+    out = []
+    for name in CORPUS_NAMES:
+        for arch_name in ARCHES:
+            for flags in FLAG_SETS:
+                for a in analyze_corpus(name, arch_name, **flags):
+                    out.append((a, emit.to_plan(a.problem, a.cfg, solver.solve_min(a.problem))))
+            for a in analyze_corpus(name, arch_name):
+                out.append((a, verify.greedy(a.cfg, a.closed, a.boundaries, a.profile, a.costs)))
+    return out
+
+
+def _every_kind_plan():
+    """A plan holding every item kind, on edges and actions of `recv` in
+    mp; no corpus plan holds all four."""
+    (a,) = [a for a in analyze_corpus("mp", "armv8") if a.func.name == "recv"]
+    actions = sorted(a.cfg.actions)
+    plan = emit.PlacementPlan("recv", "armv8", 123)
+    for s, d, _pseudo in sorted(a.cfg.edges):
+        plan.barriers.append(emit.BarrierPlacement("dmb_ld", s, d, *emit.edge_anchor(a.cfg, s, d)))
+        plan.ctrl_uses.append(emit.CtrlUse(actions[0], s, d, "synth"))
+    plan.data_uses.append(emit.DataUse("-", actions[0], actions[-1]))
+    plan.modes += [emit.ModeUse(mode, x) for mode in ("acquire", "release") for x in actions]
+    return a, plan
+
+
+def _check_against_reference(a, plan):
+    d = emit.plan_to_dict(plan)
+    assert d == reference_plan_to_dict(plan)
+    assert list(d) == list(reference_plan_to_dict(plan))
+    assert emit.plan_from_dict(d) == reference_plan_from_dict(d) == plan
+    assert emit.annotate(a.func, a.cfg, plan) == reference_annotate(a.func, a.cfg, plan)
+
+
+def test_plan_format_and_annotation_equal_reference():
+    kinds = set()
+    for a, plan in _all_plans():
+        _check_against_reference(a, plan)
+        kinds.update(k for k in REFERENCE_ITEM_KEYS if getattr(plan, k))
+    assert kinds == set(REFERENCE_ITEM_KEYS)
+
+
+def test_every_item_kind_equals_reference():
+    a, plan = _every_kind_plan()
+    _check_against_reference(a, plan)
+    # the same items again, with status and a second copy of each, unsorted
+    plan = emit.PlacementPlan(plan.function, plan.arch, 7, "incumbent",
+                              *(2 * getattr(plan, k)[::-1] for k in REFERENCE_ITEM_KEYS))
+    _check_against_reference(a, plan)
+
+
+def test_item_fields_are_the_json_keys():
+    assert {k: cls._fields for k, cls in emit._ITEMS.items()} == REFERENCE_ITEM_KEYS
+    assert list(emit._ITEMS) == list(REFERENCE_ITEM_KEYS)
+
+
+ITEM_FIELDS = [(key, field) for key, fields in REFERENCE_ITEM_KEYS.items() for field in fields]
+
+
+def _doc_with_every_item(spoil):
+    _a, plan = _every_kind_plan()
+    doc = reference_plan_to_dict(plan)
+    spoil(doc)
+    return json.dumps([doc]), plan.function
+
+
+@pytest.mark.parametrize("key,field", ITEM_FIELDS, ids=[f"{k}.{f}" for k, f in ITEM_FIELDS])
+def test_missing_item_key_message(key, field):
+    text, name = _doc_with_every_item(lambda d: d[key][0].pop(field))
+    with pytest.raises(emit.PlanFormatError) as exc:
+        emit.plans_from_json(text)
+    assert str(exc.value) == f"plan for {name}: {key}[0] has no {field!r}"
+
+
+@pytest.mark.parametrize("key,field", ITEM_FIELDS, ids=[f"{k}.{f}" for k, f in ITEM_FIELDS])
+def test_non_string_item_value_message(key, field):
+    text, name = _doc_with_every_item(lambda d: d[key][0].update({field: 1}))
+    with pytest.raises(emit.PlanFormatError) as exc:
+        emit.plans_from_json(text)
+    assert str(exc.value) == f"plan for {name}: {key}[0] {field!r} is not a string"
+
+
+def test_first_bad_item_field_is_reported_in_key_order():
+    # fields are checked in order within an item, items before later lists
+    text, name = _doc_with_every_item(
+        lambda d: [item.clear() for k in REFERENCE_ITEM_KEYS for item in d[k]])
+    with pytest.raises(emit.PlanFormatError) as exc:
+        emit.plans_from_json(text)
+    assert str(exc.value) == f"plan for {name}: barriers[0] has no 'kind'"

@@ -10,7 +10,7 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
-from rmcfence import encode, graph, solver
+from rmcfence import arch, encode, graph, solver
 from conftest import (
     ARCHES, CORPUS_NAMES, analyze, analyze_corpus, parse_valid, random_cut_source,
 )
@@ -303,8 +303,8 @@ def _per_path_cut(a, edge, true_vars):
             return True
         if "release" in a.profile.modes and encode.OutputVar("release", (edge.dst,)) in true_vars:
             return True
-    cap = {"pu": "cuts_push", "vo": "cuts_vis", "xo": "cuts_exec_any"}[edge.kind]
-    kinds = [k.id for k in a.profile.kinds_cutting(cap)]
+    level = {"pu": arch.PUSH, "vo": arch.VIS, "xo": arch.EXEC}[edge.kind]
+    kinds = [k.id for k in a.profile.kinds_cutting(level)]
     paths = graph.simple_paths(
         a.cfg, a.cfg.action_block[edge.src], a.cfg.action_block[edge.dst],
         excluded=edge.bind, cap=1 << 20,

@@ -130,6 +130,15 @@ DIAGNOSTICS = [
     ),
     ('func f { edge zz a -> b; block e: ret }', "1:15: expected edge kind vo/xo/pu, found 'zz'"),
     ('func f { block e: noop\n ret }', '2:2: noop requires a label'),
+    ('func f { block e: push label p\n ret }', "1:30: labelled push (tag 'p') is not supported"),
+    (
+        'func f { edge pu pre -> a; block e: write @x 1 label a ret }',
+        '1:18: pu edges do not support pre/post',
+    ),
+    (
+        'func f { edge pu a -> post; block e: write @x 1 label a ret }',
+        '1:23: pu edges do not support pre/post',
+    ),
     (
         'func f {\n  block e:\n    write @x 1\n  block g: ret\n}',
         "4:3: block 'e' is missing a terminator",
@@ -227,10 +236,10 @@ def test_validate_use_not_dominated():
 
 
 def test_validate_reports_in_text_order():
-    # uses in text order, then declarations, then unsupported actions; a
-    # value's own instruction does not define it before its operands
+    # uses in text order, then declarations; a value's own instruction
+    # does not define it before its operands
     (f,) = ir.parse(
-        "func f { edge vo a -> zz; block e: noop label a %v = op f(%v) push label p "
+        "func f { edge vo a -> zz; block e: noop label a %v = op f(%v) push "
         "write @x %w %w = op g() br %v ? l : r block l: %u = op h() jmp j "
         "block r: jmp j block j: write @y %u ret }"
     )
@@ -239,7 +248,6 @@ def test_validate_reports_in_text_order():
         "f: use of %w in write @x %w precedes its definition in block 'e'",
         "f: use of %u in write @y %u is not dominated by its definition",
         "f: edge declaration tag 'zz' labels no action",
-        "f: labelled push (tag 'p') is not supported",
     ]
 
 

@@ -12,7 +12,7 @@ except ImportError:
 
 from types import SimpleNamespace
 
-from rmcfence import emit, graph, ir, solver, verify
+from rmcfence import arch, emit, graph, ir, solver, verify
 from conftest import (
     ARCHES, CORPUS_NAMES, analyze, analyze_corpus, parse_valid, random_cut_source,
     random_problem, span_source,
@@ -138,8 +138,8 @@ if HAVE_HYPOTHESIS:
                 head = f"UNCUT {edge.kind} {edge.src}->{edge.dst}{scope} via "
                 found = verify.check_plan(a.cfg, [edge], [], a.profile, plan)
                 assert all(v.startswith(head) for v in found)
-                cap = "cuts_push" if edge.kind == "pu" else "cuts_vis"
-                strong = [k.id for k in a.profile.kinds_cutting(cap)]
+                level = arch.PUSH if edge.kind == "pu" else arch.VIS
+                strong = [k.id for k in a.profile.kinds_cutting(level)]
                 paths = graph.simple_paths(
                     a.cfg, a.cfg.action_block[edge.src], a.cfg.action_block[edge.dst],
                     excluded=edge.bind, cap=1 << 20,
