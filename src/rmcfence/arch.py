@@ -6,10 +6,7 @@ strongest capability level it cuts; costs are abstract weights,
 configurable per run.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 # Capability levels, weakest first. A barrier kind cuts the orderings of
 # its level and of every level below it: push => vis => exec =>
@@ -18,17 +15,16 @@ from typing import NamedTuple
 EXEC_FROM_READ, EXEC, VIS, PUSH = range(4)
 
 
-class BarrierKind(NamedTuple):
-    id: str
-    level: int  # the strongest capability level it cuts
+# `level` is the strongest capability level the kind cuts.
+BarrierKind = namedtuple("BarrierKind", "id level")
 
 
-@dataclass(frozen=True)
-class ArchProfile:
-    name: str
-    barriers: tuple  # of BarrierKind
-    modes: tuple = ()  # subset of ("acquire", "release")
-    vis_exec_free: bool = False
+class ArchProfile(namedtuple("ArchProfile", "name barriers modes vis_exec_free",
+                             defaults=((), False))):
+    """`barriers` is a tuple of BarrierKind, `modes` a subset of
+    ("acquire", "release")."""
+
+    __slots__ = ()
 
     def kind(self, kind_id):
         for k in self.barriers:
@@ -76,12 +72,9 @@ DEFAULT_DEP_COSTS = {"data_existing": 1, "ctrl_existing": 2, "ctrl_synth": 8}
 DEFAULT_LOOP_FACTOR = 4
 
 
-@dataclass(frozen=True)
-class CostTable:
-    kind_costs: dict
-    mode_costs: dict
-    dep_costs: dict
-    loop_factor: int = DEFAULT_LOOP_FACTOR
+class CostTable(namedtuple("CostTable", "kind_costs mode_costs dep_costs loop_factor",
+                           defaults=(DEFAULT_LOOP_FACTOR,))):
+    __slots__ = ()
 
     def kind(self, kind_id):
         return self.kind_costs[kind_id]

@@ -10,14 +10,11 @@ explosion, 3 budget exhausted, 4 invalid plan / oracle mismatch, 5
 internal error.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import os
 import stat
 import sys
-from dataclasses import replace
 
 from . import arch, constraints, emit, encode, graph, ir, solver, verify
 from .deps import DepAnalysis
@@ -28,6 +25,21 @@ EXIT_PATHS = 2
 EXIT_BUDGET = 3
 EXIT_INVALID = 4
 EXIT_INTERNAL = 5
+
+
+def _int_at_least(low):
+    """An argparse `type`: an integer of at least `low`, else a usage error."""
+
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return n
+
+    return parse
 
 
 def _add_common(p):
@@ -41,12 +53,13 @@ def _add_common(p):
     )
     p.add_argument(
         "--max-paths",
-        type=int,
+        type=_int_at_least(1),
         default=graph.DEFAULT_MAX_PATHS,
         help="simple-path limit per xo constraint (exit 2 beyond it); pu and vo"
         " are cut by reachability and have no limit",
     )
-    p.add_argument("--loop-factor", type=int, default=None, help="per-loop-level weight multiplier")
+    p.add_argument("--loop-factor", type=_int_at_least(1), default=None,
+                   help="per-loop-level weight multiplier")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -68,7 +81,7 @@ def build_parser():
 
     c = sub.add_parser("compile", help="compute a minimal placement plan")
     _add_common(c)
-    c.add_argument("--budget-ms", type=int, default=None)
+    c.add_argument("--budget-ms", type=_int_at_least(0), default=None)
     c.add_argument("--format", choices=("json", "annotated"), default="json")
     c.add_argument("--out", help="write output here instead of stdout")
 
@@ -78,12 +91,13 @@ def build_parser():
 
     e = sub.add_parser("explain", help="show constraints, weights, and cost breakdown")
     _add_common(e)
-    e.add_argument("--budget-ms", type=int, default=None)
+    e.add_argument("--budget-ms", type=_int_at_least(0), default=None)
     e.add_argument("--dump-problem", action="store_true", help="also print the raw formula")
 
     o = sub.add_parser("oracle", help="cross-check optimizer vs exhaustive search")
     _add_common(o)
-    o.add_argument("--max-vars", type=int, default=16, help="exhaustive-search variable limit")
+    o.add_argument("--max-vars", type=_int_at_least(0), default=16,
+                   help="exhaustive-search variable limit")
     return ap
 
 
@@ -107,9 +121,7 @@ def _load_inputs(args):
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.loop_factor is not None:
-        if args.loop_factor < 1:
-            raise arch.CostConfigError("--loop-factor must be >= 1")
-        costs = replace(costs, loop_factor=args.loop_factor)
+        costs = costs._replace(loop_factor=args.loop_factor)
 
     options = encode.EncodeOptions(
         data_deps=not args.no_data_deps,
@@ -139,7 +151,7 @@ def _solve(problem, budget_ms):
     try:
         return solver.solve_min(problem, budget_ms)
     except solver.BudgetExceeded as exc:
-        return replace(exc.incumbent, optimal=False)
+        return exc.incumbent._replace(optimal=False)
 
 
 def _budget_warning(name):

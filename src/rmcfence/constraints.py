@@ -18,10 +18,7 @@ first, bind). It does not depend on the order of the input. An input with
 no no-op endpoint comes back unchanged.
 """
 
-from __future__ import annotations
-
-from collections import deque
-from typing import NamedTuple
+from collections import deque, namedtuple
 
 STRENGTH = {"xo": 0, "vo": 1, "pu": 2}
 
@@ -29,23 +26,22 @@ STRENGTH = {"xo": 0, "vo": 1, "pu": 2}
 # The constraint records are tuples, so building, hashing and comparing
 # them runs in C. tests/test_constraints.py pins their fields, defaults,
 # repr, equality and hash.
-class ConstraintEdge(NamedTuple):
-    kind: str  # vo | xo | pu
-    src: str  # action id
-    dst: str  # action id
-    bind: "str | None" = None  # binding block id, None when unscoped
-    origin: str = "declared"  # declared | derived
-    chain: tuple = ()  # derived: the declared (kind, src, dst) steps
+# ConstraintEdge: `kind` is vo | xo | pu, `src` and `dst` are action
+# ids, `bind` is the binding block id (None when unscoped), `origin` is
+# declared | derived, and a derived edge's `chain` holds the declared
+# (kind, src, dst) steps.
+class ConstraintEdge(namedtuple("ConstraintEdge", "kind src dst bind origin chain",
+                                defaults=(None, "declared", ()))):
+    __slots__ = ()
 
     def key(self):
         return self[:4]  # (kind, src, dst, bind)
 
 
-class BoundaryConstraint(NamedTuple):
-    kind: str  # vo | xo
-    direction: str  # "pre": everything before must order against `action`;
-    #                 "post": `action` orders against everything after
-    action: str
+# BoundaryConstraint: `kind` is vo | xo; `direction` "pre" when
+# everything before must order against `action`, "post" when `action`
+# orders against everything after.
+BoundaryConstraint = namedtuple("BoundaryConstraint", "kind direction action")
 
 
 def resolve(func, cfg):

@@ -7,8 +7,6 @@ detours, computed over real edges (a detour through function exit ends
 the invocation and cannot carry an SSA value).
 """
 
-from __future__ import annotations
-
 from .ir import Action, Branch, Phi, PureOp, dominance
 
 

@@ -9,57 +9,39 @@ which the parser ignores, so annotated source re-parses to the same
 function.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
-from .ir import print_function
+from .ir import Record, print_function
 
 
 # Plan items are tuples whose fields are the keys of their JSON objects,
 # in order; `_ITEMS` names the plan list each one fills.
-class BarrierPlacement(NamedTuple):
-    kind: str
-    src: str
-    dst: str
-    anchor: str  # normalized block id
-    position: str  # "begin" | "end"
-
-
-class CtrlUse(NamedTuple):
-    source: str  # action whose value the branch must keep depending on
-    src: str
-    dst: str
-    mode: str  # existing | synth
-
-
-class DataUse(NamedTuple):
-    bind: str  # binding block id or "-"
-    source: str
-    target: str
-
-
-class ModeUse(NamedTuple):
-    mode: str  # acquire | release
-    action: str
-
+# BarrierPlacement: `anchor` is a normalized block id, `position` "begin"
+# or "end". CtrlUse: `source` is the action whose value the branch must
+# keep depending on, `mode` "existing" or "synth". DataUse: `bind` is the
+# binding block id or "-". ModeUse: `mode` is "acquire" or "release".
+BarrierPlacement = namedtuple("BarrierPlacement", "kind src dst anchor position")
+CtrlUse = namedtuple("CtrlUse", "source src dst mode")
+DataUse = namedtuple("DataUse", "bind source target")
+ModeUse = namedtuple("ModeUse", "mode action")
 
 _ITEMS = {"barriers": BarrierPlacement, "ctrl_uses": CtrlUse, "data_uses": DataUse,
           "modes": ModeUse}
 
 
-@dataclass
-class PlacementPlan:
-    function: str
-    arch: str
-    cost: int
-    status: str = "optimal"  # "optimal" | "incumbent" (budget ran out)
-    barriers: list = field(default_factory=list)
-    ctrl_uses: list = field(default_factory=list)
-    data_uses: list = field(default_factory=list)
-    modes: list = field(default_factory=list)
+class PlacementPlan(Record):
+    """`status` is "optimal", or "incumbent" when the budget ran out; the
+    four item lists are those `_ITEMS` names."""
+
+    __slots__ = ("function", "arch", "cost", "status", "barriers", "ctrl_uses", "data_uses",
+                 "modes")
+
+    def __init__(self, function, arch, cost, status="optimal", barriers=None, ctrl_uses=None,
+                 data_uses=None, modes=None):
+        self.function, self.arch, self.cost, self.status = function, arch, cost, status
+        self.barriers, self.ctrl_uses, self.data_uses, self.modes = (
+            [] if x is None else x for x in (barriers, ctrl_uses, data_uses, modes))
 
 
 def edge_anchor(cfg, src, dst):

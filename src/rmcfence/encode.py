@@ -41,15 +41,12 @@ whole system's greatest fixpoint. `def_values`, `failed_assertions` and
 `satisfies` take sets of OutputVars and turn them into a mask; the
 solver works on masks.
 
-Outputs are tuples (`OutputVar` is a NamedTuple), so hashing, comparing
+Outputs are tuples (`OutputVar` is a namedtuple), so hashing, comparing
 and sorting them runs in C, and the encoder makes one `("out", v)` term
 per barrier and reuses it wherever that barrier occurs.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import graph
 from .arch import EXEC, EXEC_FROM_READ, PUSH, VIS
@@ -58,9 +55,11 @@ TRUE = ("const", True)
 FALSE = ("const", False)
 
 
-class OutputVar(NamedTuple):
-    kind: str  # barrier | use_ctrl | use_data | acquire | release
-    detail: tuple
+class OutputVar(namedtuple("OutputVar", "kind detail")):
+    """`kind` is barrier | use_ctrl | use_data | acquire | release;
+    `detail` a tuple."""
+
+    __slots__ = ()
 
     def __str__(self):
         if self.kind == "barrier":
@@ -75,23 +74,21 @@ class OutputVar(NamedTuple):
         return f"{self.kind}[{self.detail[0]}]"
 
 
-@dataclass
-class EncodeOptions:
-    data_deps: bool = True
-    ctrl_deps: bool = True
-    synth_deps: bool = False
-    max_paths: int = graph.DEFAULT_MAX_PATHS
+EncodeOptions = namedtuple("EncodeOptions", "data_deps ctrl_deps synth_deps max_paths",
+                           defaults=(True, True, False, graph.DEFAULT_MAX_PATHS))
 
 
-@dataclass
 class Problem:
-    function: str
-    arch: str
-    outputs: list  # sorted OutputVars
-    defs: dict  # name -> expr
-    asserts: list  # (label, expr)
-    cost_terms: list  # (weight, frozenset of OutputVars)
-    _compiled: "Compiled | None" = None  # built on first evaluation
+    """`outputs` are sorted OutputVars, `defs` maps a name to its expr,
+    `asserts` lists (label, expr) and `cost_terms` (weight, frozenset of
+    OutputVars). `_compiled` is built on first evaluation."""
+
+    __slots__ = ("function", "arch", "outputs", "defs", "asserts", "cost_terms", "_compiled",
+                 "__weakref__")
+
+    def __init__(self, function, arch, outputs, defs, asserts, cost_terms):
+        self.function, self.arch, self.outputs, self.defs = function, arch, outputs, defs
+        self.asserts, self.cost_terms, self._compiled = asserts, cost_terms, None
 
     def objective(self, true_vars):
         return sum(w for w, group in self.cost_terms if group & true_vars)

@@ -7,8 +7,6 @@ retreating edges, in reverse postorder, and depth from the loops those
 edges close.
 """
 
-from __future__ import annotations
-
 from .ir import Ret, depth_first
 
 DEFAULT_MAX_PATHS = 4096

@@ -7,10 +7,8 @@ tags. Normalization isolates labeled actions into their own blocks,
 breaks critical edges, and closes the CFG with exit->entry pseudo edges.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Operands are either SSA value ids (str, without the % sigil) or int literals.
 Operand = "int | str"
@@ -20,11 +18,8 @@ RESERVED_TAGS = ("pre", "post")
 RMW_OPS = ("xchg", "add")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    line: int
-    col: int
-    message: str
+class Diagnostic(namedtuple("Diagnostic", "line col message")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.line}:{self.col}: {self.message}"
@@ -36,27 +31,47 @@ class ParseError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class Global:
-    name: str
+class Record:
+    """A record whose fields are its `__slots__`. Records are equal when
+    they are of the same class and their fields are equal, so no two
+    kinds of node compare equal, and, being mutable, are unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Deref:
-    value: str
+class Global(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
 
 
-@dataclass
-class Action:
-    """A memory action. reads/rmws define a value; writes carry a data operand."""
+class Deref(Record):
+    __slots__ = ("value",)
 
-    id: str
-    kind: str  # read | write | rmw | push | noop
-    loc: "Global | Deref | None" = None
-    data: "int | str | None" = None
-    rmw_op: "str | None" = None
-    defines: "str | None" = None
-    labels: tuple = ()
+    def __init__(self, value):
+        self.value = value
+
+
+class Action(Record):
+    """A memory action. reads/rmws define a value; writes carry a data operand.
+    `kind` is read | write | rmw | push | noop; `loc` a Global, a Deref or
+    None; `data` an operand or None."""
+
+    __slots__ = ("id", "kind", "loc", "data", "rmw_op", "defines", "labels")
+
+    def __init__(self, id, kind, loc=None, data=None, rmw_op=None, defines=None, labels=()):
+        self.id, self.kind, self.loc, self.data = id, kind, loc, data
+        self.rmw_op, self.defines, self.labels = rmw_op, defines, labels
 
     @property
     def is_write(self):
@@ -72,62 +87,67 @@ class Action:
         return self.loc.value if isinstance(self.loc, Deref) else None
 
 
-@dataclass
-class PureOp:
-    defines: str
-    op: str
-    args: tuple
+class PureOp(Record):
+    __slots__ = ("defines", "op", "args")
+
+    def __init__(self, defines, op, args):
+        self.defines, self.op, self.args = defines, op, args
 
 
-@dataclass
-class Phi:
-    defines: str
-    arms: tuple  # of (pred block id, operand)
+class Phi(Record):
+    __slots__ = ("defines", "arms")  # arms: (pred block id, operand) pairs
+
+    def __init__(self, defines, arms):
+        self.defines, self.arms = defines, arms
 
 
-@dataclass
-class Bind:
-    id: str
+class Bind(Record):
+    __slots__ = ("id",)
+
+    def __init__(self, id):
+        self.id = id
 
 
-@dataclass
-class Jump:
-    target: str
+class Jump(Record):
+    __slots__ = ("target",)
+
+    def __init__(self, target):
+        self.target = target
 
 
-@dataclass
-class Branch:
-    cond: "int | str"
-    then: str
-    els: str
+class Branch(Record):
+    __slots__ = ("cond", "then", "els")
+
+    def __init__(self, cond, then, els):
+        self.cond, self.then, self.els = cond, then, els
 
 
-@dataclass
-class Ret:
-    value: "int | str | None" = None
+class Ret(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value=None):
+        self.value = value
 
 
-@dataclass
-class BasicBlock:
-    id: str
-    instrs: list
-    term: "Jump | Branch | Ret"
+class BasicBlock(Record):
+    __slots__ = ("id", "instrs", "term")  # instrs: list; term: Jump | Branch | Ret
+
+    def __init__(self, id, instrs, term):
+        self.id, self.instrs, self.term = id, instrs, term
 
 
-@dataclass
-class ConstraintDecl:
-    kind: str
-    src: str
-    dst: str
-    bind: "str | None" = None
+class ConstraintDecl(Record):
+    __slots__ = ("kind", "src", "dst", "bind")
+
+    def __init__(self, kind, src, dst, bind=None):
+        self.kind, self.src, self.dst, self.bind = kind, src, dst, bind
 
 
-@dataclass
-class FunctionIR:
-    name: str
-    decls: list
-    blocks: dict  # block id -> BasicBlock, in source order
-    entry: str
+class FunctionIR(Record):
+    __slots__ = ("name", "decls", "blocks", "entry")  # blocks: id -> BasicBlock, in source order
+
+    def __init__(self, name, decls, blocks, entry):
+        self.name, self.decls, self.blocks, self.entry = name, decls, blocks, entry
 
     def actions(self):
         out = {}
@@ -787,22 +807,25 @@ def _node_str(node):
 # Normalization
 
 
-@dataclass
-class NormalizedCFG:
-    func: FunctionIR
-    blocks: dict  # norm block id -> BasicBlock
-    entry: str
-    edges: list  # (src, dst, pseudo)
-    action_block: dict  # action id -> norm block id
-    bind_block: dict  # bind id -> norm block id
-    actions: dict  # action id -> Action
-    block_origin: dict  # norm block -> (orig block | None, index)
-    # Adjacency, built once: per block, in `edges` order, duplicates kept
-    # (`br %c ? a : a` leaves two identical edges).
-    succ: dict  # block -> successors over all edges
-    pred: dict  # block -> predecessors over all edges
-    real_succ: dict  # block -> successors over real (non-pseudo) edges
-    real_pred: dict  # block -> predecessors over real edges
+class NormalizedCFG(Record):
+    """The normalized CFG. `blocks` maps a normalized block id to its
+    BasicBlock, `edges` lists (src, dst, pseudo), `action_block` and
+    `bind_block` map an action or bind id to its block, `actions` an
+    action id to its Action, and `block_origin` a block to (original
+    block | None, index). The adjacency lists are built once: per block,
+    in `edges` order, duplicates kept (`br %c ? a : a` leaves two
+    identical edges), over all edges (`succ`, `pred`) and over the real,
+    non-pseudo ones (`real_succ`, `real_pred`)."""
+
+    __slots__ = ("func", "blocks", "entry", "edges", "action_block", "bind_block", "actions",
+                 "block_origin", "succ", "pred", "real_succ", "real_pred")
+
+    def __init__(self, func, blocks, entry, edges, action_block, bind_block, actions,
+                 block_origin, succ, pred, real_succ, real_pred):
+        self.func, self.blocks, self.entry, self.edges = func, blocks, entry, edges
+        self.action_block, self.bind_block, self.actions = action_block, bind_block, actions
+        self.block_origin, self.succ, self.pred = block_origin, succ, pred
+        self.real_succ, self.real_pred = real_succ, real_pred
 
 
 def normalize(func):

@@ -49,12 +49,10 @@ reuse drops none, so with strict >=-pruning the first optimum found is
 still the lexicographically smallest one, and results are deterministic.
 """
 
-from __future__ import annotations
-
 import bisect
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import encode
 
@@ -69,23 +67,15 @@ class BudgetExceeded(Exception):
         super().__init__("solve budget exhausted")
 
 
-@dataclass(frozen=True)
-class Assignment:
-    true_vars: frozenset
-    cost: int
-    optimal: bool = True
-    decisions: int = 0
+# `true_vars` is a frozenset of OutputVars.
+Assignment = namedtuple("Assignment", "true_vars cost optimal decisions", defaults=(True, 0))
 
-
-@dataclass(frozen=True)
-class BoundData:
-    """What the lower bound needs of a problem, computed once."""
-
-    support: dict  # assertion label -> sorted indices of the outputs it reaches
-    # assertion label -> per position p in its support, for the outputs
-    # support[p:]: None if one of them is costless, else (cheapest weight,
-    # bitmask of their cost groups, output mask of those groups' members)
-    suffix: dict
+# What the lower bound needs of a problem, computed once. `support` maps
+# an assertion label to the sorted indices of the outputs it reaches;
+# `suffix` maps it to, per position p in its support, for the outputs
+# support[p:]: None if one of them is costless, else (cheapest weight,
+# bitmask of their cost groups, output mask of those groups' members).
+BoundData = namedtuple("BoundData", "support suffix")
 
 
 def cost_groups(problem):

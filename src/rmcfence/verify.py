@@ -16,8 +16,6 @@ exhaustive optimization oracle for small problems; greedy is the
 deliberately simple baseline the optimizer is measured against.
 """
 
-from __future__ import annotations
-
 from collections import deque
 
 from . import graph

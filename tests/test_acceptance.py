@@ -1,6 +1,5 @@
 """Acceptance gate: ten end-to-end criteria, one verdict line each."""
 
-import dataclasses
 import json
 import random
 import time
@@ -171,7 +170,9 @@ def test_criterion_9_soundness_and_mutation():
                 for field in ("barriers", "ctrl_uses", "data_uses", "modes"):
                     items = getattr(plan, field)
                     for i in range(len(items)):
-                        mutated = dataclasses.replace(plan)
+                        mutated = emit.PlacementPlan(
+                            plan.function, plan.arch, plan.cost, plan.status, plan.barriers,
+                            plan.ctrl_uses, plan.data_uses, plan.modes)
                         setattr(mutated, field, items[:i] + items[i + 1 :])
                         assert check(mutated), (name, a.func.name, arch_name, field, i)
     elapsed = time.monotonic() - t0

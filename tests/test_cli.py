@@ -243,6 +243,35 @@ def test_usage_errors_exit_input(capsys, argv, message):
     assert err.startswith("usage: rmcfence") and message in err
 
 
+@pytest.mark.parametrize(
+    "cmd,option,value,low",
+    [
+        ("compile", "--max-paths", "-1", 1),
+        ("check", "--max-paths", "0", 1),
+        ("compile", "--budget-ms", "-1", 0),
+        ("explain", "--budget-ms", "-5", 0),
+        ("oracle", "--max-vars", "-1", 0),
+        ("compile", "--loop-factor", "0", 1),
+        ("oracle", "--loop-factor", "-3", 1),
+        ("compile", "--max-paths", "many", 1),
+    ],
+)
+def test_out_of_range_integer_options_are_usage_errors(capsys, cmd, option, value, low):
+    argv = [cmd, str(corpus_path("mp")), *(["PLAN"] if cmd == "check" else []), option, value]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rmcfence")
+    assert f"argument {option}: expected an integer >= {low}, got '{value}'" in err
+
+
+def test_lowest_integer_options_are_accepted(capsys):
+    code, out, _ = run(capsys, "oracle", str(corpus_path("mp")), "--arch", "armv7",
+                       "--max-vars", "0", "--max-paths", "1", "--loop-factor", "1")
+    assert code == 0 and out.count("exhaustive=skipped") == 2
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["compile", "--help"]])
 def test_help_exits_ok(capsys, argv):
     with pytest.raises(SystemExit) as exc:

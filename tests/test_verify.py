@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -66,7 +65,9 @@ def test_mutations_are_caught():
                 for field in ("barriers", "ctrl_uses", "data_uses", "modes"):
                     items = getattr(plan, field)
                     for i in range(len(items)):
-                        mutated = dataclasses.replace(plan)
+                        mutated = emit.PlacementPlan(
+                            plan.function, plan.arch, plan.cost, plan.status, plan.barriers,
+                            plan.ctrl_uses, plan.data_uses, plan.modes)
                         setattr(mutated, field, items[:i] + items[i + 1 :])
                         assert _check(a, mutated), (name, a.func.name, arch_name, field)
 
