@@ -16,7 +16,7 @@ import os
 import stat
 import sys
 
-from . import arch, constraints, emit, encode, graph, ir, solver, verify
+from . import arch, constraints, emit, encode, graph, ir, solver
 from .deps import DepAnalysis
 
 EXIT_OK = 0
@@ -74,10 +74,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 @functools.cache
 def build_parser():
     """The argument parser, built once per process and shared by every
-    `main` call; `parse_args` returns a fresh namespace each time. Do not
+    `main` call; `parse_args` returns a fresh namespace each time. Its
+    `commands` maps each command name to that command's parser. Do not
     modify the returned parser."""
     ap = _ArgumentParser(prog="rmcfence", description="memory-barrier placement optimizer")
     sub = ap.add_subparsers(dest="cmd", required=True)
+    ap.commands = sub.choices
 
     c = sub.add_parser("compile", help="compute a minimal placement plan")
     _add_common(c)
@@ -201,6 +203,8 @@ def cmd_compile(args):
 
 
 def cmd_check(args):
+    from . import verify  # only check and oracle need the checker
+
     units, profile, costs, _options = _load_inputs(args)
     with open(args.plan, "rb") as fh:
         plans = {p.function: p for p in emit.plans_from_json(fh.read())}
@@ -297,6 +301,8 @@ def cmd_explain(args):
 
 
 def cmd_oracle(args):
+    from . import verify
+
     units, profile, costs, options = _load_inputs(args)
     ok = True
     for unit in units:
@@ -317,8 +323,22 @@ def cmd_oracle(args):
     return EXIT_OK if ok else EXIT_INVALID
 
 
+def parse_args(argv):
+    """`build_parser().parse_args(argv)`. When argv[0] names a command the
+    rest goes straight to that command's parser, as argparse would pass
+    it, without the top parser's own pass over every argument."""
+    ap = build_parser()
+    sub = ap.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return ap.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+    if extra:
+        ap.error("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     handler = {
         "compile": cmd_compile,
         "check": cmd_check,

@@ -11,6 +11,7 @@ function.
 
 import json
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _quote
 
 from .ir import Record, print_function
 
@@ -85,10 +86,34 @@ def plan_from_dict(d):
     return PlacementPlan(d["function"], d["arch"], d["cost"], d.get("status", "optimal"), **items)
 
 
+def _object_template(keys, pad):
+    """A `%`-format of the JSON object with these keys, as
+    `json.dumps(indent=2, sort_keys=True)` writes it at indent `pad`."""
+    body = ",\n".join(f'{pad}  "{k}": %({k})s' for k in sorted(keys))
+    return "{\n" + body + "\n" + pad + "}"
+
+
+_PLAN_JSON = _object_template(("function", "arch", "cost", "status", *_ITEMS), "  ")
+_ITEM_JSON = {key: _object_template(cls._fields, "      ") for key, cls in _ITEMS.items()}
+
+
 def plans_to_json(plans):
-    """Deterministic JSON for one or more plans (always an array)."""
-    doc = [plan_to_dict(p) for p in sorted(plans, key=lambda p: p.function)]
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON for one or more plans (always an array): the
+    bytes of `json.dumps([plan_to_dict(p) ...], indent=2, sort_keys=True)`
+    plus a newline, written from the fixed plan shape, since `indent`
+    makes `json` fall back to its pure-Python encoder."""
+    out = []
+    for plan in sorted(plans, key=lambda p: p.function):
+        values = {"function": _quote(plan.function), "arch": _quote(plan.arch),
+                  "cost": str(plan.cost), "status": _quote(plan.status)}
+        for key, template in _ITEM_JSON.items():
+            items = [template % dict(zip(item._fields, map(_quote, item)))
+                     for item in getattr(plan, key)]
+            values[key] = "[\n      " + ",\n      ".join(items) + "\n    ]" if items else "[]"
+        out.append(_PLAN_JSON % values)
+    if not out:
+        return "[]\n"
+    return "[\n  " + ",\n  ".join(out) + "\n]\n"
 
 
 # The keys `plan_from_dict` needs in a plan, with their types; each item

@@ -170,18 +170,33 @@ def successors(term):
 # Tokenizer / parser
 
 
-# Each match is the whitespace and comments before one token, then the
-# token, the one group: a word, a punctuation character, a value, an
-# integer, an arrow, the empty string at the end of the text, or any
-# other single character, which no grammar rule accepts. No text matches
-# two of the first five, so their order (most frequent first) does not
-# change what matches. After trailing whitespace the end of the text
-# matches twice. Whitespace is ASCII only (`re.ASCII`), as words, values
-# and integers are: a Unicode space or line separator outside a comment
-# is a bad character, so no line break goes uncounted in a diagnostic.
+# A comment runs from `#` or `;;` to the end of its line. No token holds
+# either, so every `#` and `;;` outside a comment starts one, and
+# `_blank_comments` finds them all with one search. It overwrites each
+# with as many spaces, so positions stay those of the source text, and
+# keeps its newline, so no two tokens join.
+_COMMENT_RE = re.compile(r"(?:#|;;)[^\n]*")
+
+
+def _blank_comments(text):
+    if "#" not in text and ";;" not in text:
+        return text
+    return _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
+
+
+# Each match of a text with comments blanked is the whitespace before one
+# token, then the token, the one group: a word, a punctuation character,
+# a value, an integer, an arrow, the empty string at the end of the text,
+# or any other single character, which no grammar rule accepts. No text
+# matches two of the first five, so their order (most frequent first)
+# does not change what matches. After trailing whitespace the end of the
+# text matches twice. Whitespace is ASCII only (`re.ASCII`), as words,
+# values and integers are: a Unicode space or line separator outside a
+# comment is a bad character, so no line break goes uncounted in a
+# diagnostic.
 _TOKEN_RE = re.compile(
     r"""
-    (?:\s+|\#[^\n]*|;;[^\n]*)*
+    \s*
     ( [A-Za-z_][A-Za-z_0-9]*
     | [{}:;?,\[\]()@*=]
     | %[A-Za-z_][A-Za-z_0-9]*
@@ -238,8 +253,8 @@ class _Parser:
     """
 
     def __init__(self, text):
-        self.text = text
-        self.toks = _TOKEN_RE.findall(text)
+        self.text = _blank_comments(text)
+        self.toks = _TOKEN_RE.findall(self.text)
 
     def fail(self, i, msg):
         raise ParseError([_diagnostic(self.text, i, msg)])

@@ -631,3 +631,53 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # one problem dump per function: ringbuf and widget hold two each
     assert outs[0].count("  definitions:\n") == 5
 
+
+DISPATCH_ARGVS = [
+    ["compile", "f.ir"],
+    ["check", "f.ir", "p.json", "--arch", "x86"],
+    ["explain", "f.ir", "--dump-problem", "--synth-deps"],
+    ["oracle", "f.ir", "--max-vars", "3"],
+    ["compile", "f.ir", "--arch=power", "--budget-ms=5", "--out=o.json"],
+    ["compile", "f.ir", "--ar", "armv7", "--for", "annotated", "--no-d"],
+    ["compile", "f.ir", "--no"],  # ambiguous abbreviation
+    ["compile", "--", "f.ir"],
+    ["compile", "f.ir", "--", "--arch"],
+    ["compile", "f.ir", "--bogus"],
+    ["compile", "--bogus", "f.ir", "x"],
+    ["compile", "f.ir", "g.ir"],
+    ["oracle", "a", "b", "c"],
+    ["compile"],
+    ["compile", "f.ir", "--arch", "sparc"],
+    ["compile", "f.ir", "--max-paths", "-1"],
+    ["check", "f.ir", "--costs"],
+    ["-h"],
+    ["--help"],
+    ["-h", "compile"],
+    ["compile", "-h"],
+    ["check", "f.ir", "-h"],
+    ["explain", "f.ir", "--arch", "x86", "--he"],
+    ["oracle", "--bogus", "-h"],
+    [],
+    ["bogus"],
+    ["bogus", "f.ir"],
+    ["Compile", "f.ir"],
+    ["--arch", "x86", "compile", "f.ir"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The namespace `parse(argv)` returns, or its exit code, stdout and stderr."""
+    try:
+        return parse(list(argv))
+    except SystemExit as exc:
+        return (exc.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+def test_argv_dispatch_equals_full_parser(argv, capsys):
+    got = _parse_outcome(cli.parse_args, argv, capsys)
+    assert got == _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+
+
+def test_dispatch_covers_every_command():
+    assert sorted(cli.build_parser().commands) == sorted({a[0] for a in DISPATCH_ARGVS[:4]})

@@ -28,3 +28,17 @@ def test_corpus_plan_unchanged(capsys, name, arch_name):
     out = capsys.readouterr().out
     assert code == 0
     assert out == GOLDEN[f"{name} {arch_name}"]
+
+
+def test_compile_writes_json_without_the_pure_python_encoder(capsys, monkeypatch):
+    """`json.dumps(indent=...)` would build its encoder with
+    `_make_iterencode`; `compile` writes the same bytes without it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    for name in CORPUS_NAMES:
+        for arch_name in ARCHES:
+            code = cli.main(["compile", str(corpus_path(name)), "--arch", arch_name])
+            assert (code, capsys.readouterr().out) == (0, GOLDEN[f"{name} {arch_name}"])

@@ -3,6 +3,13 @@ import json
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
 from rmcfence import emit, ir, solver, verify
 from conftest import ARCHES, CORPUS_NAMES, analyze_corpus
 
@@ -261,3 +268,27 @@ def test_first_bad_item_field_is_reported_in_key_order():
     with pytest.raises(emit.PlanFormatError) as exc:
         emit.plans_from_json(text)
     assert str(exc.value) == f"plan for {name}: barriers[0] has no 'kind'"
+
+
+if HAVE_HYPOTHESIS:
+    # Any string: quotes, backslashes, control, line-separator, non-BMP
+    # and lone surrogate characters, each more often than chance.
+    _json_text = st.text(
+        st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001f600\ud800'),
+                  st.characters(exclude_categories=())),
+        max_size=6,
+    )
+
+    @st.composite
+    def placement_plans(draw):
+        items = {key: draw(st.lists(st.builds(cls, *[_json_text] * len(cls._fields)),
+                                    max_size=3))
+                 for key, cls in emit._ITEMS.items()}
+        return emit.PlacementPlan(draw(_json_text), draw(_json_text), draw(st.integers()),
+                                  draw(_json_text), **items)
+
+    @given(st.lists(placement_plans(), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_plans_to_json_equals_json_dumps(plans):
+        doc = [emit.plan_to_dict(p) for p in sorted(plans, key=lambda p: p.function)]
+        assert emit.plans_to_json(plans) == json.dumps(doc, indent=2, sort_keys=True) + "\n"

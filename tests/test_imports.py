@@ -4,6 +4,7 @@ classes built with them cost a third of `import rmcfence.cli` without
 bytecode."""
 
 import ast
+import functools
 import os
 import pathlib
 import subprocess
@@ -80,11 +81,24 @@ def test_banned_imports_are_found():
     assert banned_imports(source) == [(1, "typing"), (4, "dataclasses"), (5, "inspect.foo")]
 
 
-def test_cli_import_loads_no_banned_module():
+@functools.cache
+def loaded_by_cli_import():
+    """The modules a fresh `python -S` has loaded after `import rmcfence.cli`."""
     code = "import sys, rmcfence.cli; print(' '.join(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    loaded = done.stdout.split()
+    return done.stdout.split()
+
+
+def test_cli_import_loads_no_banned_module():
+    loaded = loaded_by_cli_import()
     assert "rmcfence.cli" in loaded
     assert [m for m in BANNED if m in loaded] == []
+
+
+def test_cli_import_does_not_load_the_checker():
+    """Only `check` and `oracle` use `verify`; they import it when run."""
+    loaded = loaded_by_cli_import()
+    assert "rmcfence.cli" in loaded
+    assert "rmcfence.verify" not in loaded

@@ -1,3 +1,6 @@
+import re
+from unittest import mock
+
 import pytest
 
 try:
@@ -388,3 +391,69 @@ def test_normalize_adjacency_lists_every_edge_in_order():
             assert got == (succ, pred)
     # both arms of the branch survive critical-edge splitting
     assert cfgs[-1].succ["e"] == ["crit.e.a", "crit.e.a"]
+
+
+# The tokenizer before comments were blanked ahead of it: one regex that
+# skipped whitespace and comments itself.
+REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?:\s+|\#[^\n]*|;;[^\n]*)*
+    ( [A-Za-z_][A-Za-z_0-9]*
+    | [{}:;?,\[\]()@*=]
+    | %[A-Za-z_][A-Za-z_0-9]*
+    | -?[0-9]+
+    | ->
+    | \Z
+    | . )
+    """,
+    re.VERBOSE | re.ASCII,
+)
+
+
+def _parse_outcome(text):
+    try:
+        return "ok", ir.parse(text)
+    except ir.ParseError as exc:
+        return "error", exc.diagnostics
+
+
+def _reference_parse_outcome(text):
+    with mock.patch.multiple(ir, _TOKEN_RE=REFERENCE_TOKEN_RE, _blank_comments=lambda t: t):
+        return _parse_outcome(text)
+
+
+def _assert_tokenizes_as_reference(text):
+    toks = ir._TOKEN_RE.findall(ir._blank_comments(text))
+    assert toks == REFERENCE_TOKEN_RE.findall(text)
+    assert _parse_outcome(text) == _reference_parse_outcome(text)
+
+
+def test_tokenizer_equals_reference_on_the_corpus():
+    for name in CORPUS_NAMES:
+        _assert_tokenizes_as_reference(load_corpus(name))
+
+
+if HAVE_HYPOTHESIS:
+    # Comment starts, arrow and value pieces, digits, letters, ASCII and
+    # Unicode spaces and line breaks, and words of the grammar.
+    _FRAGMENTS = ["#", "#", ";", ";", ";;", "-", ">", "->", "%", "%v", "0", "7", "-1", "a",
+                  "x_2", "\n", "\n", "\r", "\t", " ", " ", "\u00a0", "\u2028", "{", "}", ":",
+                  "=", "func", "block", "edge", "ret", "jmp"]
+
+    @st.composite
+    def commented_texts(draw):
+        """Fragments alone, or inserted into a corpus program at random
+        places, so that comments also fall inside text that parses."""
+        pieces = st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join)
+        if draw(st.booleans()):
+            return draw(pieces)
+        text = load_corpus(draw(st.sampled_from(CORPUS_NAMES)))
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(pieces) + text[at:]
+        return text
+
+    @given(commented_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_tokenizer_equals_reference(text):
+        _assert_tokenizes_as_reference(text)
