@@ -90,6 +90,15 @@ class CostConfigError(Exception):
     pass
 
 
+def parse_decimal(text):
+    """The integer that `text` writes as ASCII decimal digits with an
+    optional leading `-`, as IR literals are written; None for any other
+    text, which `int` might read: other scripts' digits, `_`, `+`,
+    surrounding spaces."""
+    digits = text[1:] if text[:1] == "-" else text
+    return int(text) if digits.isascii() and digits.isdecimal() else None
+
+
 def load_costs(profile, path=None, text=None):
     """Defaults merged with `key = integer` overrides.
 
@@ -115,11 +124,10 @@ def load_costs(profile, path=None, text=None):
             if "=" not in line:
                 raise CostConfigError(f"line {lineno}: expected 'key = integer'")
             key, _, val = line.partition("=")
-            key = key.strip()
-            try:
-                num = int(val.strip())
-            except ValueError:
-                raise CostConfigError(f"line {lineno}: {val.strip()!r} is not an integer")
+            key, val = key.strip(), val.strip()
+            num = parse_decimal(val)
+            if num is None:
+                raise CostConfigError(f"line {lineno}: {val!r} is not an integer")
             if num < 1:
                 raise CostConfigError(f"line {lineno}: cost for {key!r} must be >= 1")
             if key == "loop_factor":

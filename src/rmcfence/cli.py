@@ -10,11 +10,12 @@ explosion, 3 budget exhausted, 4 invalid plan / oracle mismatch, 5
 internal error.
 """
 
-import argparse
 import functools
 import os
 import stat
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import arch, constraints, emit, encode, graph, ir, solver
 from .deps import DepAnalysis
@@ -27,80 +28,158 @@ EXIT_INVALID = 4
 EXIT_INTERNAL = 5
 
 
-def _int_at_least(low):
-    """An argparse `type`: an integer of at least `low`, else a usage error."""
-
-    def parse(text):
-        try:
-            n = int(text)
-        except ValueError:
-            n = None
-        if n is None or n < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return n
-
-    return parse
+# The command line, said once. Each command has a help line, its
+# positionals as (dest, help), and its options; `build_parser` builds the
+# argparse parser from this table and `parse_args` reads plain argv from
+# it. An option that takes no value is a store-true flag; `at_least`,
+# when set, makes the value an ASCII decimal integer of at least it.
+Option = namedtuple("Option", "flag dest takes_value at_least choices default help")
 
 
-def _add_common(p):
-    p.add_argument("file", help="IR source file")
-    p.add_argument("--arch", default="armv8", choices=list(arch.PROFILE_NAMES))
-    p.add_argument("--costs", help="cost override file (key = integer lines)")
-    p.add_argument("--no-data-deps", action="store_true", help="never rely on data dependencies")
-    p.add_argument("--no-ctrl-deps", action="store_true", help="never rely on control dependencies")
-    p.add_argument(
-        "--synth-deps", action="store_true", help="allow synthesizing new control dependencies"
-    )
-    p.add_argument(
-        "--max-paths",
-        type=_int_at_least(1),
-        default=graph.DEFAULT_MAX_PATHS,
-        help="simple-path limit per xo constraint (exit 2 beyond it); pu and vo"
-        " are cut by reachability and have no limit",
-    )
-    p.add_argument("--loop-factor", type=_int_at_least(1), default=None,
-                   help="per-loop-level weight multiplier")
+def _option(flag, takes_value=True, at_least=None, choices=None, default=None, help=None):
+    dest = flag[2:].replace("-", "_")
+    return Option(flag, dest, takes_value, at_least, choices,
+                  default if takes_value else False, help)
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit EXIT_INPUT, not argparse's 2, which means path
-    explosion here. Subparsers are built from the same class."""
+def _int_at_least(text, low):
+    """`text` as an ASCII decimal integer of at least `low`, else None."""
+    n = arch.parse_decimal(text)
+    return None if n is None or n < low else n
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+_COMMON = (
+    _option("--arch", default="armv8", choices=arch.PROFILE_NAMES),
+    _option("--costs", help="cost override file (key = integer lines)"),
+    _option("--no-data-deps", takes_value=False, help="never rely on data dependencies"),
+    _option("--no-ctrl-deps", takes_value=False, help="never rely on control dependencies"),
+    _option("--synth-deps", takes_value=False,
+            help="allow synthesizing new control dependencies"),
+    _option("--max-paths", at_least=1, default=graph.DEFAULT_MAX_PATHS,
+            help="simple-path limit per xo constraint (exit 2 beyond it); pu and vo"
+            " are cut by reachability and have no limit"),
+    _option("--loop-factor", at_least=1, help="per-loop-level weight multiplier"),
+)
+_BUDGET = _option("--budget-ms", at_least=0)
+_FILE = ("file", "IR source file")
+
+COMMANDS = {
+    "compile": ("compute a minimal placement plan", (_FILE,), _COMMON + (
+        _BUDGET,
+        _option("--format", choices=("json", "annotated"), default="json"),
+        _option("--out", help="write output here instead of stdout"),
+    )),
+    "check": ("validate a placement plan", (_FILE, ("plan", "plan JSON produced by compile")),
+              _COMMON),
+    "explain": ("show constraints, weights, and cost breakdown", (_FILE,), _COMMON + (
+        _BUDGET,
+        _option("--dump-problem", takes_value=False, help="also print the raw formula"),
+    )),
+    "oracle": ("cross-check optimizer vs exhaustive search", (_FILE,), _COMMON + (
+        _option("--max-vars", at_least=0, default=16,
+                help="exhaustive-search variable limit"),
+    )),
+}
 
 
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process and shared by every
-    `main` call; `parse_args` returns a fresh namespace each time. Its
-    `commands` maps each command name to that command's parser. Do not
-    modify the returned parser."""
-    ap = _ArgumentParser(prog="rmcfence", description="memory-barrier placement optimizer")
+    """The argparse parser of `COMMANDS`, built once per process and
+    shared by every call; `parse_args` returns a fresh namespace each
+    time. Do not modify the returned parser."""
+    import argparse  # only help and usage errors need it; see parse_args
+
+    class ArgumentParser(argparse.ArgumentParser):
+        """Usage errors exit EXIT_INPUT, not argparse's 2, which means
+        path explosion here. Subparsers are built from the same class."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+    def int_type(low):
+        def parse(text):
+            n = _int_at_least(text, low)
+            if n is None:
+                raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+            return n
+
+        return parse
+
+    ap = ArgumentParser(prog="rmcfence", description="memory-barrier placement optimizer")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    ap.commands = sub.choices
-
-    c = sub.add_parser("compile", help="compute a minimal placement plan")
-    _add_common(c)
-    c.add_argument("--budget-ms", type=_int_at_least(0), default=None)
-    c.add_argument("--format", choices=("json", "annotated"), default="json")
-    c.add_argument("--out", help="write output here instead of stdout")
-
-    k = sub.add_parser("check", help="validate a placement plan")
-    _add_common(k)
-    k.add_argument("plan", help="plan JSON produced by compile")
-
-    e = sub.add_parser("explain", help="show constraints, weights, and cost breakdown")
-    _add_common(e)
-    e.add_argument("--budget-ms", type=_int_at_least(0), default=None)
-    e.add_argument("--dump-problem", action="store_true", help="also print the raw formula")
-
-    o = sub.add_parser("oracle", help="cross-check optimizer vs exhaustive search")
-    _add_common(o)
-    o.add_argument("--max-vars", type=_int_at_least(0), default=16,
-                   help="exhaustive-search variable limit")
+    for name, (help_line, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for dest, help_text in positionals:
+            p.add_argument(dest, help=help_text)
+        for o in options:
+            if o.takes_value:
+                kind = None if o.at_least is None else int_type(o.at_least)
+                p.add_argument(o.flag, dest=o.dest, type=kind, choices=o.choices,
+                               default=o.default, help=o.help)
+            else:
+                p.add_argument(o.flag, dest=o.dest, action="store_true", help=o.help)
     return ap
+
+
+# Per command: its positional dests, its options by flag, and the
+# namespace fields of an argv that gives no option.
+_INDEX = {
+    name: (tuple(dest for dest, _ in positionals), {o.flag: o for o in options},
+           {"cmd": name, **{o.dest: o.default for o in options}})
+    for name, (_, positionals, options) in COMMANDS.items()
+}
+
+
+def _read_plain(argv):
+    """The namespace of an argv that names a command and holds only its
+    exact long options, each value not starting with `-` and of the
+    option's integer range or choices, and exactly its positionals; None
+    for any other argv. On such an argv it equals argparse's namespace."""
+    command = _INDEX.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    positionals, options, defaults = command
+    values, found = dict(defaults), []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg[:1] != "-":
+            found.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        o = options.get(flag)
+        if o is None:  # -h, --, an abbreviation, an unknown option
+            return None
+        if not o.takes_value:
+            if eq:
+                return None
+            values[o.dest] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                return None
+        if value[:1] == "-":
+            return None
+        if o.at_least is not None:
+            value = _int_at_least(value, o.at_least)
+            if value is None:
+                return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        values[o.dest] = value
+    if len(found) != len(positionals):
+        return None
+    values.update(zip(positionals, found))
+    return SimpleNamespace(**values)
+
+
+def parse_args(argv):
+    """The fields `build_parser().parse_args(argv)` gives. A plain argv
+    (see `_read_plain`) is read from `COMMANDS` without argparse; any
+    other goes to argparse, which prints help, usage and errors."""
+    args = _read_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def _load_inputs(args):
@@ -233,6 +312,9 @@ def cmd_check(args):
         violations.extend(
             verify.check_plan(cfg, closed, boundaries, profile, plan, args.max_paths)
         )
+    defined = {f.name for f, _, _, _ in units}
+    violations += [f"plan for function {name}, which the source does not define"
+                   for name in plans if name not in defined]
     if violations:
         for v in violations:
             print(v)
@@ -321,20 +403,6 @@ def cmd_oracle(args):
             line += " exhaustive=skipped"
         print(line)
     return EXIT_OK if ok else EXIT_INVALID
-
-
-def parse_args(argv):
-    """`build_parser().parse_args(argv)`. When argv[0] names a command the
-    rest goes straight to that command's parser, as argparse would pass
-    it, without the top parser's own pass over every argument."""
-    ap = build_parser()
-    sub = ap.commands.get(argv[0]) if argv else None
-    if sub is None:
-        return ap.parse_args(argv)
-    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
-    if extra:
-        ap.error("unrecognized arguments: " + " ".join(extra))
-    return args
 
 
 def main(argv=None):

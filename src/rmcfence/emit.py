@@ -138,6 +138,7 @@ def plans_from_json(text):
         doc = [doc]
     if not isinstance(doc, list):
         raise PlanFormatError("plan file must hold a plan object or an array of them")
+    first = {}  # function -> index of its plan
     for i, d in enumerate(doc):
         if not isinstance(d, dict):
             raise PlanFormatError(f"plan {i} in the plan file is not an object")
@@ -146,6 +147,15 @@ def plans_from_json(text):
                 raise PlanFormatError(f"plan {i} in the plan file has no {key!r}")
             if not isinstance(d[key], kind) or isinstance(d[key], bool):
                 raise PlanFormatError(f"plan {i} in the plan file: {key!r} is not {name}")
+        if d.get("status", "optimal") not in ("optimal", "incumbent"):
+            raise PlanFormatError(
+                f"plan {i} in the plan file: 'status' is not \"optimal\" or \"incumbent\""
+            )
+        j = first.setdefault(d["function"], i)
+        if j != i:
+            raise PlanFormatError(
+                f"plan {i} in the plan file: function {d['function']!r} already has plan {j}"
+            )
         for key, cls in _ITEMS.items():
             items = d.get(key)
             if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):

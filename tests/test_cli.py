@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -6,6 +8,13 @@ import subprocess
 import sys
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
 
 from rmcfence import cli, encode, graph, ir
 from conftest import ARCHES, CORPUS_NAMES, corpus_path, span_source, walk_source
@@ -157,6 +166,18 @@ def test_bad_cost_file_exit_code(tmp_path, capsys):
     assert "unknown cost key" in err
 
 
+@pytest.mark.parametrize("value", ["\u0663", "1_0", "+5", "5 5"])
+def test_cost_file_integers_are_ascii_decimal(tmp_path, capsys, value):
+    # int() reads the first three; spaces around a value are the file's
+    # syntax and stripped, so " 5" is a plain 5 there
+    costs = tmp_path / "costs.txt"
+    costs.write_text(f"dmb = {value}\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "compile", str(corpus_path("mp")), "--arch", "armv7", "--costs", str(costs)
+    )
+    assert (code, err) == (cli.EXIT_INPUT, f"error: line 1: {value!r} is not an integer\n")
+
+
 def test_annotated_format_reparses(capsys):
     code, out, _ = run(
         capsys, "compile", str(corpus_path("widget")), "--arch", "armv7",
@@ -254,6 +275,11 @@ def test_usage_errors_exit_input(capsys, argv, message):
         ("compile", "--loop-factor", "0", 1),
         ("oracle", "--loop-factor", "-3", 1),
         ("compile", "--max-paths", "many", 1),
+        # ASCII decimal only, as IR literals: int() would read each of these
+        ("compile", "--max-paths", "\u0663", 1),
+        ("check", "--loop-factor", "1_0", 1),
+        ("explain", "--budget-ms", "+5", 0),
+        ("oracle", "--max-vars", " 5", 0),
     ],
 )
 def test_out_of_range_integer_options_are_usage_errors(capsys, cmd, option, value, low):
@@ -555,6 +581,9 @@ def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, which):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+BAD_STATUS = ''''status' is not "optimal" or "incumbent"'''
+
+
 @pytest.mark.parametrize(
     "spoil, message",
     [
@@ -563,6 +592,8 @@ def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, which):
                      id="function-list"),
         pytest.param(lambda p: p["barriers"][0].update(kind=["dmb"]), "'kind' is not a string",
                      id="kind-list"),
+        pytest.param(lambda p: p.update(status=5), BAD_STATUS, id="status-int"),
+        pytest.param(lambda p: p.update(status="best"), BAD_STATUS, id="status-other"),
     ],
 )
 def test_plan_field_of_the_wrong_type_is_an_input_error(tmp_path, capsys, spoil, message):
@@ -575,6 +606,31 @@ def test_plan_field_of_the_wrong_type_is_an_input_error(tmp_path, capsys, spoil,
     code, out, err = run(capsys, "check", src, str(dest), "--arch", "armv7")
     assert (code, out) == (cli.EXIT_INPUT, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_two_plans_for_one_function_are_an_input_error(tmp_path, capsys):
+    # a gutted copy of each plan ahead of the real one must not pass as
+    # the real one
+    src, dest = str(corpus_path("mp")), tmp_path / "plan.json"
+    run(capsys, "compile", src, "--arch", "armv7", "--out", str(dest))
+    doc = json.loads(dest.read_text())
+    gutted = [{**plan, "barriers": [], "modes": []} for plan in doc]
+    dest.write_text(json.dumps(gutted + doc))
+    code, out, err = run(capsys, "check", src, str(dest), "--arch", "armv7")
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == (f"error: plan {len(doc)} in the plan file: function"
+                   f" {doc[0]['function']!r} already has plan 0\n")
+
+
+def test_plan_for_a_function_the_source_lacks_is_a_violation(tmp_path, capsys):
+    src, dest = str(corpus_path("mp")), tmp_path / "plan.json"
+    run(capsys, "compile", src, "--arch", "armv7", "--out", str(dest))
+    doc = json.loads(dest.read_text())
+    doc.insert(1, {**doc[0], "function": "ghost"})
+    dest.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check", src, str(dest), "--arch", "armv7")
+    assert (code, out) == (cli.EXIT_INVALID,
+                           "plan for function ghost, which the source does not define\n")
 
 
 def test_internal_key_error_exits_internal(capsys, monkeypatch):
@@ -666,9 +722,10 @@ DISPATCH_ARGVS = [
 
 
 def _parse_outcome(parse, argv, capsys):
-    """The namespace `parse(argv)` returns, or its exit code, stdout and stderr."""
+    """The fields of the namespace `parse(argv)` returns, or its exit
+    code, stdout and stderr."""
     try:
-        return parse(list(argv))
+        return vars(parse(list(argv)))
     except SystemExit as exc:
         return (exc.code, *capsys.readouterr())
 
@@ -680,4 +737,80 @@ def test_argv_dispatch_equals_full_parser(argv, capsys):
 
 
 def test_dispatch_covers_every_command():
-    assert sorted(cli.build_parser().commands) == sorted({a[0] for a in DISPATCH_ARGVS[:4]})
+    assert sorted(cli.COMMANDS) == sorted({a[0] for a in DISPATCH_ARGVS[:4]})
+
+
+if HAVE_HYPOTHESIS:
+    _OPTIONS = {o.flag: o for _, _, options in cli.COMMANDS.values() for o in options}
+    _WORDS = ("f.ir", "p.json", "compile", "x86", "7", "", "a=b", "\u0663")  # no leading -
+
+    def _valid_values(o):
+        if o.choices is not None:
+            return st.sampled_from(o.choices)
+        if o.at_least is not None:
+            return st.sampled_from(("1", "2", "16", "40"))
+        return st.sampled_from(_WORDS)
+
+    def _any_values(o):
+        """Mostly valid values of option `o`, and some that are not."""
+        if o.choices is not None:
+            return st.sampled_from((*o.choices, "sparc", "JSON", ""))
+        if o.at_least is not None:
+            return st.sampled_from(("0", "1", "2", "16", "-1", "-3", "\u0663", "1_0", "+5", " 5",
+                                    "5 ", "x"))
+        return st.sampled_from(_WORDS)
+
+    @st.composite
+    def _option_args(draw, options, values):
+        o = draw(st.sampled_from(options))
+        if not o.takes_value:
+            return [o.flag]
+        value = draw(values(o))
+        return [f"{o.flag}={value}"] if draw(st.booleans()) else [o.flag, value]
+
+    @st.composite
+    def plain_argvs(draw):
+        """A command, its positionals and any of its options with valid
+        values, each once or more, in any order: what `cli._read_plain`
+        reads."""
+        name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+        _, positionals, options = cli.COMMANDS[name]
+        picks = draw(st.lists(_option_args(options, _valid_values), max_size=6))
+        picks += [[draw(st.sampled_from(_WORDS))] for _ in positionals]
+        return [name, *(a for pick in draw(st.permutations(picks)) for a in pick)]
+
+    # The pieces of any argv: options of every command, their `=` forms
+    # and abbreviations (some of them ambiguous), -h, --, negative
+    # numbers, other scripts' digits and junk.
+    _PIECES = st.one_of(
+        _option_args(list(_OPTIONS.values()), _any_values),
+        st.sampled_from([[f[:k]] for f in _OPTIONS for k in range(3, len(f))]),
+        st.sampled_from([[f[:k] + "=x86"] for f in _OPTIONS for k in range(3, len(f) + 1)]),
+        st.sampled_from([["-h"], ["--help"], ["--"], ["-"], ["-1"], ["-x"], ["--bogus"]]),
+        st.sampled_from(_WORDS).map(lambda w: [w]),
+        st.text(max_size=4).map(lambda w: [w]),
+    )
+
+    @st.composite
+    def noisy_argvs(draw):
+        head = draw(st.sampled_from((*sorted(cli.COMMANDS), "bogus", "-h", "--arch")))
+        rest = draw(st.lists(_PIECES, max_size=6))
+        return [head, *(a for piece in rest for a in piece)][:draw(st.integers(0, 14))]
+
+    @given(st.one_of(plain_argvs(), noisy_argvs(), st.sampled_from(DISPATCH_ARGVS)))
+    @settings(max_examples=600, deadline=None)
+    def test_plain_argv_reading_equals_the_full_parser(argv):
+        def outcome(parse):
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    return vars(parse(list(argv)))
+            except SystemExit as exc:
+                return (exc.code, out.getvalue(), err.getvalue())
+
+        assert outcome(cli.parse_args) == outcome(cli.build_parser().parse_args)
+
+    @given(plain_argvs())
+    @settings(max_examples=200, deadline=None)
+    def test_plain_argvs_are_read_without_argparse(argv):
+        assert cli._read_plain(argv) is not None

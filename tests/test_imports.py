@@ -97,6 +97,34 @@ def test_cli_import_loads_no_banned_module():
     assert [m for m in BANNED if m in loaded] == []
 
 
+def test_cli_import_does_not_load_argparse():
+    assert "argparse" not in loaded_by_cli_import()
+
+
+def test_plain_argv_does_not_load_argparse(tmp_path):
+    """A plain `compile` and `check` read argv from the option table;
+    only help and usage errors build the argparse parser."""
+    code = (
+        "import sys\n"
+        "from rmcfence import cli\n"
+        "src, plan = sys.argv[1:]\n"
+        "codes = [cli.main(['compile', src, '--arch', 'armv7', '--out', plan]),\n"
+        "         cli.main(['check', src, plan, '--arch', 'armv7'])]\n"
+        "print('argparse' in sys.modules, codes)\n"
+        "try:\n"
+        "    cli.main(['compile', '-h'])\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code)\n"
+    )
+    src = SRC.parent.parent / "corpus" / "mp.rmcir"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src), str(tmp_path / "p.json")],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["OK", "False [0, 0]"]
+    assert lines[2].startswith("usage: rmcfence compile [-h]") and lines[-1] == "exit 0"
+
+
 def test_cli_import_does_not_load_the_checker():
     """Only `check` and `oracle` use `verify`; they import it when run."""
     loaded = loaded_by_cli_import()
