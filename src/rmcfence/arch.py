@@ -8,6 +8,8 @@ configurable per run.
 
 from collections import namedtuple
 
+from .ir import parse_decimal
+
 # Capability levels, weakest first. A barrier kind cuts the orderings of
 # its level and of every level below it: push => vis => exec =>
 # exec-from-read (exec orders any access against later ones,
@@ -88,15 +90,6 @@ class CostTable(namedtuple("CostTable", "kind_costs mode_costs dep_costs loop_fa
 
 class CostConfigError(Exception):
     pass
-
-
-def parse_decimal(text):
-    """The integer that `text` writes as ASCII decimal digits with an
-    optional leading `-`, as IR literals are written; None for any other
-    text, which `int` might read: other scripts' digits, `_`, `+`,
-    surrounding spaces."""
-    digits = text[1:] if text[:1] == "-" else text
-    return int(text) if digits.isascii() and digits.isdecimal() else None
 
 
 def load_costs(profile, path=None, text=None):

@@ -44,7 +44,7 @@ def _option(flag, takes_value=True, at_least=None, choices=None, default=None, h
 
 def _int_at_least(text, low):
     """`text` as an ASCII decimal integer of at least `low`, else None."""
-    n = arch.parse_decimal(text)
+    n = ir.parse_decimal(text)
     return None if n is None or n < low else n
 
 
@@ -300,13 +300,15 @@ def cmd_check(args):
                 file=sys.stderr,
             )
             return EXIT_INPUT
-        unknown = [f"barriers[{j}] has kind {b.kind!r}"
+        lacks = f"which {profile.name} does not have"
+        unknown = [f"barriers[{j}] has kind {b.kind!r}, {lacks}"
                    for j, b in enumerate(plan.barriers) if b.kind not in kinds]
-        unknown += [f"modes[{j}] has mode {m.mode!r}"
+        unknown += [f"modes[{j}] has mode {m.mode!r}, {lacks}"
                     for j, m in enumerate(plan.modes) if m.mode not in profile.modes]
+        unknown += [f"ctrl_uses[{j}] has mode {u.mode!r}, not 'existing' or 'synth'"
+                    for j, u in enumerate(plan.ctrl_uses) if u.mode not in ("existing", "synth")]
         if unknown:
-            print(f"error: plan for {f.name}: {unknown[0]}, which {profile.name} does not have",
-                  file=sys.stderr)
+            print(f"error: plan for {f.name}: {unknown[0]}", file=sys.stderr)
             return EXIT_INPUT
         violations.extend(verify.check_claims(cfg, costs, plan))
         violations.extend(

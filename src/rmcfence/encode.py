@@ -26,20 +26,23 @@ definition for them, and only pu is encoded. Edge weights are computed
 only when there is an output to cost, unless the caller passes them.
 
 Evaluation runs on a form compiled once per problem (`Compiled`, cached
-on the `Problem`): an assignment is an int bitmask over the positions in
-`problem.outputs`, and every def, nested and/or and assertion is a flat
-row (slot, is_and, out_mask, child slots) whose output leaves fold into
-one mask test. One walk over each def yields its rows, the defs it
-names, and the facts `solver.dominated` reads; the strongly connected
-components of those names (`graph.sccs`) then order the rows,
-dependencies first. A def that does not refer to itself, directly or
-through others, is evaluated once. A cyclic component, its members in
-def order whatever the hash seed, starts at True and descends locally,
-re-evaluating its rows until no def changes; its inputs from earlier
+on the `Problem`) and works on bit sets: an assignment is an int bitmask
+over the positions in `problem.outputs`, and every def, nested and/or
+and assertion owns a slot whose value is one bit of a second int. Each
+is a flat row (slot bit, is_and, out_mask, kid_mask), so a row is two
+mask tests, one on the outputs and one on its child slots, and "every
+assertion holds" is one test against the assertions' slot mask. One
+walk over each def yields its rows, the defs it names, and the facts
+`solver.dominated` reads; the strongly connected components of those
+names (`graph.sccs`) then order the rows, dependencies first. A def
+that does not refer to itself, directly or through others, is evaluated
+once. A cyclic component, its members in def order whatever the hash
+seed, starts at True and descends locally, re-evaluating its rows and
+clearing their bits until no def changes; its inputs from earlier
 components are already final. The formula is monotone, so this is the
 whole system's greatest fixpoint. `def_values`, `failed_assertions` and
 `satisfies` take sets of OutputVars and turn them into a mask; the
-solver works on masks.
+solver works on the masks and slot ints themselves.
 
 Outputs are tuples (`OutputVar` is a namedtuple), so hashing, comparing
 and sorting them runs in C, and the encoder makes one `("out", v)` term
@@ -442,28 +445,31 @@ class Compiled:
 
     Output `problem.outputs[i]` is the bit `1 << i` of a mask. Every
     definition, every nested and/or and every assertion that is not a bare
-    def owns a slot and a row (slot, is_and, out_mask, child slots). An or
-    row is true when `m & out_mask` is non-zero or some child is; an and
-    row needs `m & out_mask == out_mask` and every child. Slots 0 and 1
-    hold the constants False and True.
+    def owns a slot, and the values of all slots are one int whose bit s
+    is slot s. A row is (slot bit, is_and, out_mask, kid_mask), kid_mask
+    holding the bits of its child slots: an or row is true when
+    `m & out_mask` or `val & kid_mask` is non-zero, an and row when both
+    equal their mask. Slots 0 and 1 hold the constants False and True.
 
     One walk over each definition yields its rows, children first, and the
     definitions it names. The strongly connected components of those
-    references (`graph.sccs`, dependencies first) order the rows in steps:
-    runs of definitions that do not refer to themselves, and cyclic
-    components, whose members keep their definition order. The assertions
-    come last. The same walk gathers what `solver.dominated` needs: per
-    output, the mask of the outputs named by every or row that names it
-    (`together`), and the mask of the outputs named by some and row
-    (`in_and`). The object holds nothing of the `Problem`, so caching it
-    there makes no reference cycle.
+    references (`graph.sccs`, dependencies first) order the rows in steps
+    (rows, cycle): runs of definitions that do not refer to themselves,
+    with cycle 0, and cyclic components, whose members keep their
+    definition order and whose def slot bits make up `cycle`. The
+    assertions come last; `holds` is the mask of their slots, so every
+    assertion holds under `val` when `val & holds == holds`. The same
+    walk gathers what `solver.dominated` needs: per output, the mask of
+    the outputs named by every or row that names it (`together`), and the
+    mask of the outputs named by some and row (`in_and`). The object holds
+    nothing of the `Problem`, so caching it there makes no reference cycle.
     """
 
     def __init__(self, problem):
         n = len(problem.outputs)
         self.index = {v: i for i, v in enumerate(problem.outputs)}
         self.def_slot = def_slot = {name: i + 2 for i, name in enumerate(problem.defs)}
-        self.nslots = self.def_end = len(def_slot) + 2  # defs: slots 2..def_end-1
+        self.nslots = len(def_slot) + 2
         self.together = [(1 << n) - 1] * n
         self.in_and = 0
         rows_of, refs = {}, {}
@@ -471,7 +477,7 @@ class Compiled:
             rows, named = [], {}
             self._row(expr, rows, named, def_slot[name])
             rows_of[name], refs[name] = rows, named
-        self.steps = []  # (rows, def slots of a cyclic component or [])
+        self.steps = []  # (rows, mask of the def slots of a cyclic component or 0)
         run = []
         for comp in graph.sccs(refs, [(d, r) for d, named in refs.items() for r in named]):
             if len(comp) == 1:
@@ -480,16 +486,19 @@ class Compiled:
                     run += rows_of[name]
                     continue
             if run:
-                self.steps.append((run, []))
+                self.steps.append((run, 0))
                 run = []
             members = sorted(comp, key=def_slot.__getitem__)
             rows = [r for name in members for r in rows_of[name]]
-            self.steps.append((rows, [def_slot[name] for name in members]))
+            self.steps.append((rows, sum(1 << def_slot[name] for name in members)))
         if run:
-            self.steps.append((run, []))
+            self.steps.append((run, 0))
         rows = []
         self.asserts = [(label, self._slot(expr, rows, {})) for label, expr in problem.asserts]
-        self.steps.append((rows, []))
+        self.holds = 0  # assertions may share a slot, so OR, not sum
+        for _label, slot in self.asserts:
+            self.holds |= 1 << slot
+        self.steps.append((rows, 0))
 
     def _slot(self, expr, rows, named):
         tag = expr[0]
@@ -505,14 +514,14 @@ class Compiled:
         a fresh one, and the definitions they name to `named`; returns the
         slot."""
         tag, parts = expr if expr[0] in ("or", "and") else ("or", (expr,))
-        mask, kids, outs = 0, [], []
+        mask, kids, outs = 0, 0, []
         for p in parts:
             if p[0] == "out":
                 i = self.index[p[1]]
                 mask |= 1 << i
                 outs.append(i)
             else:
-                kids.append(self._slot(p, rows, named))
+                kids |= 1 << self._slot(p, rows, named)
         if tag == "and":
             self.in_and |= mask
         else:
@@ -522,61 +531,38 @@ class Compiled:
         if slot is None:
             slot = self.nslots
             self.nslots += 1
-        rows.append((slot, tag == "and", mask, tuple(kids)))
+        rows.append((1 << slot, tag == "and", mask, kids))
         return slot
 
     def values(self, m):
-        """Every slot's value under the output mask `m`."""
-        val = [False] * self.nslots
-        val[_TRUE_SLOT] = True
-        # The acyclic and the cyclic loop differ only in how they store v;
-        # one shared loop made every evaluation about 15% slower.
+        """The slot values under the output mask `m`, as one int."""
+        val = 1 << _TRUE_SLOT
         for rows, cycle in self.steps:
             if not cycle:
-                for slot, is_and, mask, kids in rows:
+                for bit, is_and, mask, kids in rows:
                     if is_and:
-                        v = m & mask == mask
-                        if v:
-                            for k in kids:
-                                if not val[k]:
-                                    v = False
-                                    break
-                    else:
-                        v = m & mask != 0
-                        if not v:
-                            for k in kids:
-                                if val[k]:
-                                    v = True
-                                    break
-                    val[slot] = v
+                        if m & mask == mask and val & kids == kids:
+                            val |= bit
+                    elif m & mask or val & kids:
+                        val |= bit
                 continue
             # A cyclic component starts at True and descends until no def
             # changes; its inputs from earlier steps are final. Nested rows
             # are recomputed before use, so their changes do not count.
-            for slot in cycle:
-                val[slot] = True
-            changed = True
-            while changed:
-                changed = False
-                for slot, is_and, mask, kids in rows:
+            val |= cycle
+            while True:
+                before = val & cycle
+                for bit, is_and, mask, kids in rows:
                     if is_and:
-                        v = m & mask == mask
-                        if v:
-                            for k in kids:
-                                if not val[k]:
-                                    v = False
-                                    break
+                        v = m & mask == mask and val & kids == kids
                     else:
-                        v = m & mask != 0
-                        if not v:
-                            for k in kids:
-                                if val[k]:
-                                    v = True
-                                    break
-                    if val[slot] != v:
-                        val[slot] = v
-                        if slot < self.def_end:
-                            changed = True
+                        v = m & mask or val & kids
+                    if v:
+                        val |= bit
+                    elif val & bit:
+                        val ^= bit
+                if val & cycle == before:
+                    break
         return val
 
     def supports(self):
@@ -588,18 +574,21 @@ class Compiled:
             changed = True
             while changed:
                 changed = False
-                for slot, _is_and, mask, kids in rows:
-                    for k in kids:
-                        mask |= reach[k]
+                for bit, _is_and, mask, kids in rows:
+                    while kids:
+                        low = kids & -kids
+                        mask |= reach[low.bit_length() - 1]
+                        kids ^= low
+                    slot = bit.bit_length() - 1
                     if reach[slot] != mask:
                         reach[slot] = mask
                         changed = bool(cycle)
         return [(label, reach[slot]) for label, slot in self.asserts]
 
-    def failed(self, m):
-        """Labels of the assertions that fail under the output mask `m`."""
-        val = self.values(m)
-        return [label for label, slot in self.asserts if not val[slot]]
+    def failing(self, val):
+        """Labels of the assertions false in the slot values `val`, in
+        assertion order."""
+        return [label for label, slot in self.asserts if not val >> slot & 1]
 
     def mask(self, true_vars):
         """The output mask of a set of OutputVars; others are ignored."""
@@ -618,13 +607,14 @@ def def_values(problem, true_vars):
     greatest fixpoint, one SCC at a time (see the module docstring)."""
     c = compiled(problem)
     val = c.values(c.mask(true_vars))
-    return {name: val[slot] for name, slot in c.def_slot.items()}
+    return {name: bool(val >> slot & 1) for name, slot in c.def_slot.items()}
 
 
 def failed_assertions(problem, true_vars):
     c = compiled(problem)
-    return c.failed(c.mask(true_vars))
+    return c.failing(c.values(c.mask(true_vars)))
 
 
 def satisfies(problem, true_vars):
-    return not failed_assertions(problem, true_vars)
+    c = compiled(problem)
+    return c.values(c.mask(true_vars)) & c.holds == c.holds

@@ -215,10 +215,14 @@ def _is_value(t):
     return t[:1] == "%" and len(t) > 1  # a lone % is a bad character
 
 
-def _is_int(t):
-    # exactly what -?[0-9]+ matches; a lone - is a bad character
-    digits = t[1:] if t[:1] == "-" else t
-    return digits.isascii() and digits.isdecimal()
+def parse_decimal(text):
+    """The integer that `text` writes as ASCII decimal digits with an
+    optional leading `-` (exactly what -?[0-9]+ matches); None for any
+    other text, which `int` might read: other scripts' digits, `_`, `+`,
+    surrounding spaces. IR literals, cost files and integer options all
+    read integers with it."""
+    digits = text[1:] if text[:1] == "-" else text
+    return int(text) if digits.isascii() and digits.isdecimal() else None
 
 
 def _diagnostic_at(text, pos, msg):
@@ -233,7 +237,7 @@ def _diagnostic(text, i, msg):
     a text that holds one always reaches here."""
     for k, m in enumerate(_TOKEN_RE.finditer(text)):
         t = m[1]
-        if len(t) == 1 and t not in _PUNCT and t not in _WORD_START and not _is_int(t):
+        if len(t) == 1 and t not in _PUNCT and t not in _WORD_START and parse_decimal(t) is None:
             return _diagnostic_at(text, m.start(1), f"unexpected character {t!r}")
         if k == i:
             pos = m.start(1)
@@ -388,7 +392,7 @@ class _Parser:
         else:
             val = None
             i += 1
-            if _is_value(toks[i]) or _is_int(toks[i]):
+            if _is_value(toks[i]) or parse_decimal(toks[i]) is not None:
                 val = self.operand(i)
                 i += 1
             term = Ret(val)
@@ -409,9 +413,10 @@ class _Parser:
         if _is_value(t):
             self.uses.append((t[1:], i))
             return t[1:]
-        if _is_int(t):
-            return int(t)
-        self.fail(i, f"expected operand, found {t!r}")
+        n = parse_decimal(t)
+        if n is None:
+            self.fail(i, f"expected operand, found {t!r}")
+        return n
 
     def loc(self, i):
         """The two-token location at token i."""

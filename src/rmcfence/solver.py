@@ -31,7 +31,7 @@ row true and lowers the cost, so such an output stays False, and the
 "rest True" check leaves it out. `encode.Compiled` gathers the facts
 this needs while it builds the rows, so finding the dominated outputs
 takes one AND per output and walks no row. Second, a False child has
-its parent's mask, so it takes its parent's list of failing assertions
+its parent's mask, so it takes its parent's slot values (one int)
 instead of evaluating the formula again. Only the root and True
 children evaluate their mask, and only False children run the "rest
 True" check (a True child's is its parent's; the root's holds because
@@ -39,20 +39,24 @@ all devices satisfy and every row naming a dominated output names an
 undominated one), so each node evaluates the formula at most once.
 
 The search is a loop over an explicit stack of (next output, mask of the
-true outputs, their cost, the parent's failing assertions for a False
-child), so its depth is not limited by Python's recursion. Output i is
-the bit `1 << i`, the formula is evaluated by `encode.Compiled` on that
-mask, and setting an output True adds its cost group's weight unless a
-member is already True. Only the result becomes a frozenset
-`Assignment`. Dominance drops only assignments that are not optimal and
-reuse drops none, so with strict >=-pruning the first optimum found is
-still the lexicographically smallest one, and results are deterministic.
+true outputs, their cost, the parent's slot values for a False child),
+so its depth is not limited by Python's recursion. Output i is the bit
+`1 << i`, `encode.Compiled.values` evaluates the formula on that mask
+into an int with one bit per slot, and a node is satisfied when that
+int covers the assertions' mask (`Compiled.holds`); the labels of the
+failing assertions are built only for the lower bound. Setting an
+output True adds its cost group's weight unless a member is already
+True. Only the result becomes a frozenset `Assignment`. Dominance drops
+only assignments that are not optimal and reuse drops none, so with
+strict >=-pruning the first optimum found is still the lexicographically
+smallest one, and results are deterministic.
 """
 
 import bisect
 import math
 import time
 from collections import namedtuple
+from operator import itemgetter
 
 from . import encode
 
@@ -170,7 +174,7 @@ def lower_bound(data, i, m, failed):
         # already paid for one of the free groups.
         if free is not None and not m & free[2]:
             needs.append(free)
-    needs.sort(key=lambda n: -n[0])
+    needs.sort(key=itemgetter(0), reverse=True)
     lb, used = 0, 0
     for marginal, groups, _members in needs:
         if not used & groups:
@@ -189,8 +193,9 @@ def solve_min(problem, budget_ms=None):
     outputs = problem.outputs
     n = len(outputs)
     formula = encode.compiled(problem)
+    holds = formula.holds
     everything = (1 << n) - 1
-    if formula.failed(everything):
+    if formula.values(everything) & holds != holds:
         raise Unsatisfiable(
             f"{problem.function}/{problem.arch}: constraints uncuttable with every device placed"
         )
@@ -212,11 +217,11 @@ def solve_min(problem, budget_ms=None):
     best = None  # (mask, cost)
     data = None  # BoundData, built when the first incumbent can prune
     decisions = 0
-    # (next output, mask of the true outputs, their cost, labels of the
-    # assertions the mask fails or None if not yet evaluated)
+    # (next output, mask of the true outputs, their cost, the parent's slot
+    # values for a False child or None if not yet evaluated)
     stack = [(nxt[0], 0, 0, None)]
     while stack:
-        i, m, cost, failed = stack.pop()
+        i, m, cost, val = stack.pop()
         decisions += 1
         if deadline is not None and time.monotonic() > deadline:
             if best is None:
@@ -224,11 +229,11 @@ def solve_min(problem, budget_ms=None):
             raise BudgetExceeded(assignment(*best))
         if best is not None and cost >= best[1]:
             continue
-        # A False child has its parent's mask, and so its failed list.
-        false_child = failed is not None
+        # A False child has its parent's mask, and so its slot values.
+        false_child = val is not None
         if not false_child:
-            failed = formula.failed(m)
-            if not failed:
+            val = formula.values(m)
+            if val & holds == holds:
                 best = (m, cost)
                 continue
         if i == n:
@@ -236,17 +241,17 @@ def solve_min(problem, budget_ms=None):
         if best is not None:
             if data is None:
                 data = bound_data(problem, groups, group)
-            lb = lower_bound(data, i, m, failed)
+            lb = lower_bound(data, i, m, formula.failing(val))
             if lb is None or cost + lb >= best[1]:
                 continue
         # A True child's "rest True" is its parent's, already satisfiable;
         # the root's is every undominated device, satisfiable because all
         # devices are.
-        if false_child and formula.failed(m | live >> i << i):
+        if false_child and formula.values(m | live >> i << i) & holds != holds:
             continue
         # The False child is pushed last, so it is searched first.
         members, w = charge[i]
         stack.append((nxt[i + 1], m | 1 << i, cost if m & members else cost + w, None))
-        stack.append((nxt[i + 1], m, cost, failed))
+        stack.append((nxt[i + 1], m, cost, val))
     assert best is not None  # all-true satisfied, so something must
     return assignment(*best)

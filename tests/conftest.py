@@ -147,13 +147,17 @@ def random_cut_source(rng, kinds=("pu", "vo")):
     return "\n".join(lines + ["}"]) + "\n"
 
 
-def random_problem(rng, max_vars=14, max_weight=50, and_rows=False):
+def random_problem(rng, max_vars=14, max_weight=50, and_rows=False, cyclic=False):
     """Synthetic monotone minimization problem (always satisfiable: the
     all-true assignment meets every clause). Cost weights are drawn from
     1..max_weight. With `and_rows`, a clause may instead be an and of its
     picks, or an or whose last pick is joined by an and with one more
-    output. The defaults add no draws, so a seed gives the same problem
-    whether or not a caller names them."""
+    output. With `cyclic`, one to three definitions name each other in a
+    ring, each either an or of its picks and of (an output and the next
+    definition), as `encode` cuts an xo path by a dependency, or an and of
+    an or of its picks and the next definition; one or two assertions
+    name ring members. The defaults add no draws, so a seed gives the
+    same problem whether or not a caller names them."""
     n = rng.randint(3, max_vars)
     outputs = sorted(
         encode.OutputVar("barrier", (f"k{i:02}", f"b{i:02}", f"c{i:02}")) for i in range(n)
@@ -175,6 +179,17 @@ def random_problem(rng, max_vars=14, max_weight=50, and_rows=False):
             defs[name] = clause
             clause = ("def", name)
         asserts.append((f"c{j}", clause))
+    if cyclic:
+        ring = [f"r{j}" for j in range(rng.randint(1, 3))]
+        for j, name in enumerate(ring):
+            picks = tuple(("out", v) for v in rng.sample(outputs, rng.randint(1, min(3, n))))
+            after = ("def", ring[(j + 1) % len(ring)])
+            if rng.random() < 0.5:
+                defs[name] = ("or", picks + (("and", (("out", rng.choice(outputs)), after)),))
+            else:
+                defs[name] = ("and", (("or", picks), after))
+        for k in range(rng.randint(1, 2)):
+            asserts.append((f"ring{k}", ("def", rng.choice(ring))))
     cost_terms = []
     i = 0
     while i < n:

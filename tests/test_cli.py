@@ -364,25 +364,36 @@ def test_malformed_plan_file_is_an_input_error(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+def _bogus_ctrl_use(plan):
+    # a copy of a ctrl use in a mode no encoder makes, at the cost that
+    # `verify.plan_cost` gives it, so only the mode is wrong
+    plan["ctrl_uses"].append(dict(plan["ctrl_uses"][0], mode="bogus"))
+    plan["cost"] = 77
+
+
 @pytest.mark.parametrize(
-    "spoil, message",
+    "name, function, spoil, message",
     [
-        pytest.param(lambda p: p["barriers"][0].update(kind="bogus"),
+        pytest.param("mp", "recv", lambda p: p["barriers"][0].update(kind="bogus"),
                      "error: plan for recv: barriers[0] has kind 'bogus', which armv7 does not have\n",
                      id="unknown-kind"),
-        pytest.param(lambda p: p["barriers"][0].pop("src"),
+        pytest.param("mp", "recv", lambda p: p["barriers"][0].pop("src"),
                      "error: plan for recv: barriers[0] has no 'src'\n", id="missing-key"),
-        pytest.param(lambda p: p["modes"].append({"mode": "acquire", "action": "a0"}),
+        pytest.param("mp", "recv",
+                     lambda p: p["modes"].append({"mode": "acquire", "action": "a0"}),
                      "error: plan for recv: modes[0] has mode 'acquire', which armv7 does not have\n",
                      id="unknown-mode"),
+        pytest.param("ringbuf", "buf_enqueue", _bogus_ctrl_use,
+                     "error: plan for buf_enqueue: ctrl_uses[2] has mode 'bogus',"
+                     " not 'existing' or 'synth'\n", id="unknown-ctrl-mode"),
     ],
 )
-def test_bad_plan_item_names_itself(tmp_path, capsys, spoil, message):
-    src, dest = str(corpus_path("mp")), tmp_path / "plan.json"
+def test_bad_plan_item_names_itself(tmp_path, capsys, name, function, spoil, message):
+    src, dest = str(corpus_path(name)), tmp_path / "plan.json"
     run(capsys, "compile", src, "--arch", "armv7", "--out", str(dest))
     doc = json.loads(dest.read_text())
-    (recv,) = [plan for plan in doc if plan["function"] == "recv"]
-    spoil(recv)
+    (plan,) = [plan for plan in doc if plan["function"] == function]
+    spoil(plan)
     dest.write_text(json.dumps(doc))
     code, out, err = run(capsys, "check", src, str(dest), "--arch", "armv7")
     assert (code, out, err) == (cli.EXIT_INPUT, "", message)

@@ -136,8 +136,8 @@ def test_components_without_references_are_one_sorted_run():
     slot = c.def_slot
     # one acyclic run in that order, then the (empty) assertion step
     assert [([r[0] for r in rows], cycle) for rows, cycle in c.steps] == [
-        ([slot[n] for n in ("b", "m", "z")], []),
-        ([], []),
+        ([1 << slot[n] for n in ("b", "m", "z")], 0),
+        ([], 0),
     ]
 
 
@@ -270,8 +270,10 @@ def test_def_values_equal_naive_greatest_fixpoint():
             if not cycle:
                 shapes.add("acyclic")
             else:
-                shapes.add("cycle" if len(cycle) > 1 else "self")
-                cyclic.update(name_of[slot] for slot in cycle)
+                members = [name_of[slot] for slot in name_of if cycle >> slot & 1]
+                assert cycle == sum(1 << c.def_slot[name] for name in members)
+                shapes.add("cycle" if len(members) > 1 else "self")
+                cyclic.update(members)
         for _label, e in asserts:
             refs = {x[1] for x in _subexprs(e) if x[0] == "def"}
             if refs & cyclic:

@@ -10,7 +10,7 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
-from rmcfence import ir
+from rmcfence import arch, ir
 from conftest import CORPUS_NAMES, load_corpus, naive_dominators, parse_valid
 
 
@@ -196,6 +196,24 @@ def test_parse_diagnostics_golden(text, expected):
     with pytest.raises(ir.ParseError) as exc:
         ir.parse(text)
     assert [str(d) for d in exc.value.diagnostics] == [expected]
+
+
+def test_ir_literals_and_parse_decimal_read_the_same_integers():
+    # One rule for IR literals, cost files and integer options: the parser
+    # takes exactly the operands that parse_decimal reads, as the same int.
+    assert arch.parse_decimal is ir.parse_decimal
+    texts = ["7", "-3", "-0", "٣", "1_0", "+5", "-", "5 5", ""]
+    read = {}
+    for text in texts:
+        try:
+            (f,) = ir.parse(f"func f {{\n  block e:\n    write @x {text}\n    ret\n}}\n")
+        except ir.ParseError:
+            read[text] = None
+        else:
+            (write,) = f.blocks["e"].instrs
+            read[text] = write.data
+    assert read == {text: ir.parse_decimal(text) for text in texts}
+    assert read == {"7": 7, "-3": -3, "-0": 0, **{t: None for t in texts[3:]}}
 
 
 def test_comments_both_styles():

@@ -37,13 +37,16 @@ def test_matches_exhaustive_on_corpus():
 
 
 def test_matches_exhaustive_on_random_problems():
-    rng = random.Random(1234)
-    for _ in range(60):
-        p = random_problem(rng)
-        got = solver.solve_min(p)
-        ref = verify.brute_min(p)
-        assert got.cost == ref.cost
-        assert encode.satisfies(p, got.true_vars)
+    for cyclic in (False, True):
+        rng = random.Random(1234)
+        for _ in range(60):
+            p = random_problem(rng, cyclic=cyclic)
+            got = solver.solve_min(p)
+            ref = verify.brute_min(p)
+            assert got.cost == ref.cost
+            assert encode.satisfies(p, got.true_vars)
+            if cyclic:
+                assert any(cycle for _rows, cycle in encode.compiled(p).steps)
 
 
 def _lex_least_optimum(p):
@@ -153,14 +156,14 @@ def test_each_node_evaluates_the_formula_at_most_once(monkeypatch):
     # A False child reuses its parent's evaluation; the one extra call is
     # the all-devices check before the search.
     calls = 0
-    failed = encode.Compiled.failed
+    values = encode.Compiled.values
 
     def counted(self, m):
         nonlocal calls
         calls += 1
-        return failed(self, m)
+        return values(self, m)
 
-    monkeypatch.setattr(encode.Compiled, "failed", counted)
+    monkeypatch.setattr(encode.Compiled, "values", counted)
     problems = []
     for name in CORPUS_NAMES:
         for arch_name in ARCHES:
@@ -297,10 +300,12 @@ if HAVE_HYPOTHESIS:
         assert lb is not None
         assert p.objective(trues) + lb <= cheapest
 
-    @given(st.integers(0, 2**32), st.booleans())
+    @given(st.integers(0, 2**32), st.booleans(), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_result_is_the_lexicographically_least_optimum_with_dominance(seed, and_rows):
+    def test_result_is_the_lexicographically_least_optimum_with_dominance(seed, and_rows, cyclic):
         # Weights 1..3 make both strict dominance and equal-cost ties
         # common; and rows and shared groups turn it off for their outputs.
-        p = random_problem(random.Random(seed), max_vars=10, max_weight=3, and_rows=and_rows)
+        # A ring of definitions puts cyclic steps through the search.
+        p = random_problem(random.Random(seed), max_vars=10, max_weight=3, and_rows=and_rows,
+                           cyclic=cyclic)
         assert solver.solve_min(p).true_vars == _lex_least_optimum(p)
