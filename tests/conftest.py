@@ -55,6 +55,54 @@ def naive_dominators(block_ids, entry, succ):
     return dom
 
 
+def naive_eval(expr, env, true_vars):
+    """Reference: the truth of one formula expression, reading each
+    definition from `env`."""
+    tag, arg = expr
+    if tag == "const":
+        return arg
+    if tag == "out":
+        return arg in true_vars
+    if tag == "def":
+        return env[arg]
+    parts = [naive_eval(p, env, true_vars) for p in arg]
+    return any(parts) if tag == "or" else all(parts)
+
+
+def naive_gfp(defs, true_vars):
+    """Reference: start every def at True and re-evaluate the whole system
+    until nothing changes."""
+    env = {name: True for name in defs}
+    while True:
+        nxt = {name: naive_eval(expr, env, true_vars) for name, expr in defs.items()}
+        if nxt == env:
+            return env
+        env = nxt
+
+
+def naive_satisfies(problem, true_vars):
+    """Reference for `encode.satisfies`, sharing no code with `encode`'s
+    compiled evaluator: every assertion holds at the greatest fixpoint."""
+    env = naive_gfp(problem.defs, true_vars)
+    return all(naive_eval(e, env, true_vars) for _label, e in problem.asserts)
+
+
+def naive_optima(problem):
+    """Reference for the exhaustive optimum: (least cost, every subset of
+    the outputs at that cost that `naive_satisfies` accepts), found by
+    trying every subset in mask order."""
+    best, optima = None, []
+    for mask in range(1 << len(problem.outputs)):
+        trues = frozenset(v for i, v in enumerate(problem.outputs) if mask >> i & 1)
+        cost = problem.objective(trues)
+        if best is not None and cost > best or not naive_satisfies(problem, trues):
+            continue
+        if cost != best:
+            best, optima = cost, []
+        optima.append(trues)
+    return best, optima
+
+
 def analyze(func, arch_name="armv7", costs_text=None, **opt_kw):
     """Full front-half pipeline for one function."""
     cfg = ir.normalize(func)

@@ -12,7 +12,8 @@ except ImportError:
 
 from rmcfence import arch, encode, graph, solver
 from conftest import (
-    ARCHES, CORPUS_NAMES, analyze, analyze_corpus, parse_valid, random_cut_source,
+    ARCHES, CORPUS_NAMES, analyze, analyze_corpus, naive_eval, naive_gfp, parse_valid,
+    random_cut_source,
 )
 
 
@@ -205,34 +206,11 @@ def test_overlap_armv7_outputs_are_the_interior_edges():
     assert all(v.kind == "barrier" and v.detail[0] == "dmb" for v in outs)
 
 
-def _naive_eval(expr, env, true_vars):
-    tag, arg = expr
-    if tag == "const":
-        return arg
-    if tag == "out":
-        return arg in true_vars
-    if tag == "def":
-        return env[arg]
-    parts = [_naive_eval(p, env, true_vars) for p in arg]
-    return any(parts) if tag == "or" else all(parts)
-
-
 def _subexprs(expr):
     yield expr
     if expr[0] in ("and", "or"):
         for p in expr[1]:
             yield from _subexprs(p)
-
-
-def _naive_gfp(defs, true_vars):
-    """Reference: start every def at True and re-evaluate the whole system
-    until nothing changes."""
-    env = {name: True for name in defs}
-    while True:
-        nxt = {name: _naive_eval(expr, env, true_vars) for name, expr in defs.items()}
-        if nxt == env:
-            return env
-        env = nxt
 
 
 def test_def_values_equal_naive_greatest_fixpoint():
@@ -285,9 +263,9 @@ def test_def_values_equal_naive_greatest_fixpoint():
             shapes.add("shared label")
         for mask in range(2 ** len(outs)):
             true_vars = frozenset(v for i, v in enumerate(outs) if mask >> i & 1)
-            env = _naive_gfp(defs, true_vars)
+            env = naive_gfp(defs, true_vars)
             assert encode.def_values(problem, true_vars) == env
-            want = [label for label, e in asserts if not _naive_eval(e, env, true_vars)]
+            want = [label for label, e in asserts if not naive_eval(e, env, true_vars)]
             assert encode.failed_assertions(problem, true_vars) == want
     assert shapes == {
         "acyclic", "self", "cycle", "assertion on a cycle", "nested with constants",
