@@ -373,10 +373,9 @@ def cmd_explain(args):
             budget_note = f.name
         mark = "" if asg.optimal else ", not proven optimal"
         out.append(f"  plan (cost {asg.cost}, {asg.decisions} search nodes{mark}):")
-        for w, group in problem.cost_terms:
-            hit = sorted(group & asg.true_vars)
-            if hit:
-                out.append(f"    {hit[0]}  cost {w}")
+        for v, w in zip(problem.outputs, problem.weights):
+            if v in asg.true_vars:
+                out.append(f"    {v}  cost {w}")
         if not asg.true_vars:
             out.append("    (nothing to insert)")
     print("\n".join(out))

@@ -22,24 +22,11 @@ class DepAnalysis:
                     self.defs[d] = ins
                     self.def_block[d] = bid
         self._dominates = None
-        self._region_memo = {}
         self._reach_memo = {}
         self._depends_memo = {}
         self._ctrl_memo = {}
-        self._data_memo = {}
 
     # -- regions ------------------------------------------------------------
-
-    def admissible_region(self, path, bind=None):
-        """The frozenset of blocks a detour from `path` may visit."""
-        key = (path, bind)
-        region = self._region_memo.get(key)
-        if region is None:
-            fwd = self._reach(path[0], True, bind)
-            bwd = self._reach(path[-1], False, bind)
-            region = (fwd & bwd).union(path)
-            self._region_memo[key] = region
-        return region
 
     def _reach(self, start, forward, avoid):
         """The frozenset of blocks reachable from `start` over real edges,
@@ -96,23 +83,20 @@ class DepAnalysis:
 
     def can_data(self, bind, src_action, dst_action, path):
         """True iff a dependence from src's loaded value reaches dst's
-        address (reads) or address/data (writes, rmws) along `path`."""
+        address (reads) or address/data (writes, rmws) along `path`. A
+        detour from `path` may visit the blocks reachable from its start
+        and reaching its end, over real edges and avoiding `bind`."""
         if not src_action.reads_value:
             return False
-        key = (bind, src_action.id, dst_action.id, path)
-        hit = self._data_memo.get(key)
-        if hit is not None:
-            return hit
-        region = self.admissible_region(path, bind)
+        fwd, bwd = self._reach(path[0], True, bind), self._reach(path[-1], False, bind)
+        region = (fwd & bwd).union(path)
         operands = []
         addr = dst_action.address_operand
         if addr is not None:
             operands.append(addr)
         if dst_action.kind in ("write", "rmw"):
             operands.append(dst_action.data)
-        result = any(self.value_depends(src_action, o, region) for o in operands)
-        self._data_memo[key] = result
-        return result
+        return any(self.value_depends(src_action, o, region) for o in operands)
 
     def can_ctrl(self, src_action, edge, synth=False):
         """Existing: edge source ends in a branch conditioned on src's value.

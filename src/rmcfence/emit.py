@@ -55,7 +55,6 @@ def edge_anchor(cfg, src, dst):
 def to_plan(problem, cfg, assignment):
     status = "optimal" if assignment.optimal else "incumbent"
     plan = PlacementPlan(problem.function, problem.arch, assignment.cost, status)
-    data_uses = set()  # one use per (bind, source, target), whatever its paths
     for v in sorted(assignment.true_vars):
         if v.kind == "barrier":
             k, s, d = v.detail
@@ -63,12 +62,12 @@ def to_plan(problem, cfg, assignment):
         elif v.kind == "use_ctrl":
             plan.ctrl_uses.append(CtrlUse(*v.detail))
         elif v.kind == "use_data":
-            data_uses.add(DataUse(*v.detail[:3]))
+            plan.data_uses.append(DataUse(*v.detail))
         else:
             plan.modes.append(ModeUse(v.kind, *v.detail))
     plan.barriers.sort(key=lambda p: (p.src, p.dst, p.kind))
     plan.ctrl_uses.sort(key=lambda u: (u.source, u.src, u.dst))
-    plan.data_uses = sorted(data_uses, key=lambda u: (u.source, u.target, u.bind))
+    plan.data_uses.sort(key=lambda u: (u.source, u.target, u.bind))
     plan.modes.sort(key=lambda m: (m.action, m.mode))
     return plan
 

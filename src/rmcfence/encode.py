@@ -15,9 +15,11 @@ s->t walk get a definition, and edges out of t are left out, so every
 barrier variable sits on an edge of some s->t walk. An xo edge is cut
 path by path (`xcut_path`), because a data dependency serves a path,
 not a walk; its self-ordering requirement makes those definitions
-cyclic too. A path is cut by an exec-capable barrier, and the capability
-levels of `arch` (push > vis > exec) make every visibility barrier
-one, so the vo half of the xo rule adds only the target's release.
+cyclic too. A data-dependency use is one output per (scope, source,
+target), offered on every path where the dependence holds. A path is
+cut by an exec-capable barrier, and the capability levels of `arch`
+(push > vis > exec) make every visibility barrier one, so the vo half
+of the xo rule adds only the target's release.
 
 Only what a plan can change is encoded. On a profile where visibility
 and execution order are free (x86), every vo, xo and boundary
@@ -72,8 +74,8 @@ class OutputVar(namedtuple("OutputVar", "kind detail")):
             s, es, ed, mode = self.detail
             return f"use_ctrl[{s} @ {es}->{ed} {mode}]"
         if self.kind == "use_data":
-            b, s, t, pid = self.detail
-            return f"use_data[{b} {s}->{t} {pid}]"
+            b, s, t = self.detail
+            return f"use_data[{b} {s}->{t}]"
         return f"{self.kind}[{self.detail[0]}]"
 
 
@@ -83,18 +85,19 @@ EncodeOptions = namedtuple("EncodeOptions", "data_deps ctrl_deps synth_deps max_
 
 class Problem:
     """`outputs` are sorted OutputVars, `defs` maps a name to its expr,
-    `asserts` lists (label, expr) and `cost_terms` (weight, frozenset of
-    OutputVars). `_compiled` is built on first evaluation."""
+    `asserts` lists (label, expr) and `weights` holds the price (>= 1) of
+    each output, parallel to `outputs`. `_compiled` is built on first
+    evaluation."""
 
-    __slots__ = ("function", "arch", "outputs", "defs", "asserts", "cost_terms", "_compiled",
+    __slots__ = ("function", "arch", "outputs", "defs", "asserts", "weights", "_compiled",
                  "__weakref__")
 
-    def __init__(self, function, arch, outputs, defs, asserts, cost_terms):
+    def __init__(self, function, arch, outputs, defs, asserts, weights):
         self.function, self.arch, self.outputs, self.defs = function, arch, outputs, defs
-        self.asserts, self.cost_terms, self._compiled = asserts, cost_terms, None
+        self.asserts, self.weights, self._compiled = asserts, weights, None
 
     def objective(self, true_vars):
-        return sum(w for w, group in self.cost_terms if group & true_vars)
+        return sum(w for v, w in zip(self.outputs, self.weights) if v in true_vars)
 
 
 def _or(parts):
@@ -338,9 +341,7 @@ class Encoder:
             and s_action.reads_value
             and self.deps.can_data(bind, s_action, t_action, path)
         ):
-            v = OutputVar(
-                "use_data", (self._bstr(bind), s_action.id, t_action.id, self._pid(path))
-            )
+            v = OutputVar("use_data", (self._bstr(bind), s_action.id, t_action.id))
             self.vars.add(v)
             disj.append(_and([("out", v), self_ref()]))
         return self._define(name, _or(disj))
@@ -394,39 +395,34 @@ class Encoder:
             outputs=outputs,
             defs=self.defs,
             asserts=self.asserts,
-            cost_terms=self._cost_terms(outputs),
+            weights=self._weights(outputs),
         )
 
-    def _cost_terms(self, outputs):
-        """The cost terms of the sorted `outputs`."""
+    def _weights(self, outputs):
+        """The price of each of the sorted `outputs`."""
         if not outputs:
             return []
-        weights = self.weights
-        if weights is None:
-            weights = graph.edge_weights(self.cfg, self.costs.loop_factor)
-        terms = []
+        edge_w = self.weights
+        if edge_w is None:
+            edge_w = graph.edge_weights(self.cfg, self.costs.loop_factor)
+        prices = []
         in_w = {}
         for s, d, _ in self.cfg.edges:
-            in_w[d] = max(in_w.get(d, 0), weights[(s, d)])
-        data_groups = {}
+            in_w[d] = max(in_w.get(d, 0), edge_w[(s, d)])
         for v in outputs:
             if v.kind == "barrier":
                 k, s, d = v.detail
-                terms.append((weights[(s, d)] * self.costs.kind(k), frozenset([v])))
+                prices.append(edge_w[(s, d)] * self.costs.kind(k))
             elif v.kind == "use_ctrl":
                 _, s, d, mode = v.detail
                 cost = self.costs.dep("ctrl_existing" if mode == "existing" else "ctrl_synth")
-                terms.append((weights[(s, d)] * cost, frozenset([v])))
+                prices.append(edge_w[(s, d)] * cost)
             elif v.kind == "use_data":
-                b, s, t, _pid = v.detail
-                data_groups.setdefault((b, s, t), []).append(v)
+                prices.append(self.costs.dep("data_existing"))
             else:  # acquire / release
                 blk = self.cfg.action_block[v.detail[0]]
-                w = in_w.get(blk, 1)
-                terms.append((w * self.costs.mode(v.kind), frozenset([v])))
-        for key in sorted(data_groups):
-            terms.append((self.costs.dep("data_existing"), frozenset(data_groups[key])))
-        return terms
+                prices.append(in_w.get(blk, 1) * self.costs.mode(v.kind))
+        return prices
 
 
 def build(cfg, edges, boundaries, deps, profile, costs, options=None, weights=None):

@@ -9,34 +9,29 @@ if even setting the rest True fails, the subtree is dead.
 Once an incumbent exists, a node is also pruned by a lower bound on the
 cost its completions must still pay. Each failing assertion needs some
 output of its support (the outputs it reaches through the definitions)
-that is not yet decided, and that output's cost group. Failing
-assertions whose undecided groups are pairwise disjoint each pay
-separately, so the sum of their cheapest group weights is a bound; an
-assertion whose group is already paid for by a true output adds
-nothing. This is the independent-clause bound of weighted MaxSAT and
-set-cover branch-and-bound, with disjointness taken over cost groups,
-not variables, because `use_data` outputs share one cost term. The
-undecided outputs of a node are a suffix of each assertion's sorted
-support, so `bound_data` tabulates, per assertion and suffix, the cost
-groups as a bitmask, the cheapest of their weights, the output mask of
-their members (a true member means paid) and whether an output is
-costless; a node looks its entry up by bisection.
+that is not yet decided. Failing assertions whose undecided outputs are
+pairwise disjoint each pay separately, so the sum of their cheapest
+weights is a bound. This is the independent-clause bound of weighted
+MaxSAT and set-cover branch-and-bound. The undecided outputs of a node
+are a suffix of each assertion's sorted support, so `bound_data`
+tabulates, per assertion and suffix, the cheapest weight and the output
+mask; a node looks its entry up by bisection.
 
 Two exact moves keep the search where an optimum can be. First, an
 output that no optimum sets True is never decided at all (`dominated`):
-its cost group is itself alone, every row of the formula that names it
-is an or row, and all of those rows also name another output with a
-singleton group that is strictly cheaper. Swapping the two keeps every
-row true and lowers the cost, so such an output stays False, and the
-"rest True" check leaves it out. `encode.Compiled` gathers the facts
-this needs while it builds the rows, so finding the dominated outputs
-takes one AND per output and walks no row. Second, a False child has
-its parent's mask, so it takes its parent's slot values (one int)
-instead of evaluating the formula again. Only the root and True
-children evaluate their mask, and only False children run the "rest
-True" check (a True child's is its parent's; the root's holds because
-all devices satisfy and every row naming a dominated output names an
-undominated one), so each node evaluates the formula at most once.
+every row of the formula that names it is an or row, and all of those
+rows also name another output that is strictly cheaper. Swapping the
+two keeps every row true and lowers the cost, so such an output stays
+False, and the "rest True" check leaves it out. `encode.Compiled`
+gathers the facts this needs while it builds the rows, so finding the
+dominated outputs takes one AND per output and walks no row. Second, a
+False child has its parent's mask, so it takes its parent's slot values
+(one int) instead of evaluating the formula again. Only the root and
+True children evaluate their mask, and only False children run the
+"rest True" check (a True child's is its parent's; the root's holds
+because all devices satisfy and every row naming a dominated output
+names an undominated one), so each node evaluates the formula at most
+once.
 
 The search is a loop over an explicit stack of (next output, mask of the
 true outputs, their cost, the parent's slot values for a False child),
@@ -44,12 +39,12 @@ so its depth is not limited by Python's recursion. Output i is the bit
 `1 << i`, `encode.Compiled.values` evaluates the formula on that mask
 into an int with one bit per slot, and a node is satisfied when that
 int covers the assertions' mask (`Compiled.holds`); the labels of the
-failing assertions are built only for the lower bound. Setting an
-output True adds its cost group's weight unless a member is already
-True. Only the result becomes a frozenset `Assignment`. Dominance drops
-only assignments that are not optimal and reuse drops none, so with
-strict >=-pruning the first optimum found is still the lexicographically
-smallest one, and results are deterministic.
+failing assertions are built only for the lower bound. Setting output
+i True adds its weight, `problem.weights[i]`. Only the result becomes a
+frozenset `Assignment`. Dominance drops only assignments that are not
+optimal and reuse drops none, so with strict >=-pruning the first
+optimum found is still the lexicographically smallest one, and results
+are deterministic.
 """
 
 import bisect
@@ -76,22 +71,9 @@ Assignment = namedtuple("Assignment", "true_vars cost optimal decisions", defaul
 
 # What the lower bound needs of a problem, computed once. `support` maps
 # an assertion label to the sorted indices of the outputs it reaches;
-# `suffix` maps it to, per position p in its support, for the outputs
-# support[p:]: None if one of them is costless, else (cheapest weight,
-# bitmask of their cost groups, output mask of those groups' members).
+# `suffix` maps it to, per position p in its support, (cheapest weight,
+# output mask) of the outputs support[p:].
 BoundData = namedtuple("BoundData", "support suffix")
-
-
-def cost_groups(problem):
-    """(output mask of its members, weight) per cost group, and each
-    output's group index (None if the output is costless)."""
-    index = encode.compiled(problem).index
-    groups, group = [], [None] * len(problem.outputs)
-    for g, (w, members) in enumerate(problem.cost_terms):
-        groups.append((sum(1 << index[v] for v in members), w))
-        for v in members:
-            group[index[v]] = g
-    return groups, group
 
 
 def _bits(mask):
@@ -104,8 +86,9 @@ def _bits(mask):
     return out
 
 
-def bound_data(problem, groups, group):
-    """The `BoundData` of `problem`, given its `cost_groups`."""
+def bound_data(problem):
+    """The `BoundData` of `problem`."""
+    weights = problem.weights
     support = {}
     for label, mask in encode.compiled(problem).supports():
         # Assertions that share a label share the union of their supports:
@@ -114,42 +97,34 @@ def bound_data(problem, groups, group):
     support = {label: _bits(mask) for label, mask in support.items()}
     suffix = {}
     for label, outs in support.items():
-        table, entry = [None] * len(outs), (math.inf, 0, 0)
+        table, entry = [None] * len(outs), (math.inf, 0)
         for p in reversed(range(len(outs))):
-            g = group[outs[p]]
-            if g is None:
-                entry = None
-            elif entry is not None:
-                members, w = groups[g]
-                entry = (min(entry[0], w), entry[1] | 1 << g, entry[2] | members)
+            x = outs[p]
+            entry = (min(entry[0], weights[x]), entry[1] | 1 << x)
             table[p] = entry
         suffix[label] = table
     return BoundData(support, suffix)
 
 
-def dominated(formula, groups, group):
+def dominated(formula, weights):
     """The output mask of the outputs that no optimum sets True.
 
-    Output x is dominated when its cost group is x alone, every row that
-    names x is an or row, and all those rows also name some y whose cost
-    group is y alone and strictly cheaper. Setting y True and x False then
-    keeps every row true that was, and costs strictly less. Dominance is
-    transitive along strictly falling costs, so every row naming a
-    dominated output also names an undominated one.
+    Output x is dominated when every row that names x is an or row, and
+    all those rows also name some strictly cheaper y. Setting y True and
+    x False then keeps every row true that was, and costs strictly less.
+    Dominance is transitive along strictly falling costs, so every row
+    naming a dominated output also names an undominated one.
 
     The rows are not walked here: `formula.together[x]` is the mask of the
     outputs named by every or row naming x, and `formula.in_and` the mask
     of the outputs some and row names. Taken in order of weight, each
-    singleton output is tested with one AND against the mask of the
-    strictly cheaper ones.
+    output is tested with one AND against the mask of the strictly
+    cheaper ones.
     """
-    singles = sorted(
-        (groups[g][1], x) for x, g in enumerate(group) if g is not None and groups[g][0] == 1 << x
-    )
     together, in_and = formula.together, formula.in_and
     never = seen = cheaper = 0
     last = None
-    for w, x in singles:
+    for w, x in sorted((w, x) for x, w in enumerate(weights)):
         if w != last:
             cheaper, last = seen, w
         if together[x] & cheaper and not in_and >> x & 1:
@@ -158,28 +133,24 @@ def dominated(formula, groups, group):
     return never
 
 
-def lower_bound(data, i, m, failed):
-    """A lower bound on the cost that any satisfying completion of the
-    output mask `m` setting only outputs i.. True adds to `m`'s own, given
-    the labels of the assertions `m` fails; None if one of them can no
-    longer be satisfied."""
+def lower_bound(data, i, failed):
+    """A lower bound on the cost that any satisfying completion setting
+    only outputs i.. True adds, given the labels of the assertions the
+    current assignment fails; None if one of them can no longer be
+    satisfied."""
     needs = []
     for label in failed:
         support = data.support[label]
         p = bisect.bisect_left(support, i)
         if p == len(support):
             return None
-        free = data.suffix[label][p]
-        # Nothing to add if a free output is costless or a true output
-        # already paid for one of the free groups.
-        if free is not None and not m & free[2]:
-            needs.append(free)
+        needs.append(data.suffix[label][p])
     needs.sort(key=itemgetter(0), reverse=True)
     lb, used = 0, 0
-    for marginal, groups, _members in needs:
-        if not used & groups:
-            lb += marginal
-            used |= groups
+    for cheapest, outs in needs:
+        if not used & outs:
+            lb += cheapest
+            used |= outs
     return lb
 
 
@@ -200,10 +171,8 @@ def solve_min(problem, budget_ms=None):
             f"{problem.function}/{problem.arch}: constraints uncuttable with every device placed"
         )
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    groups, group = cost_groups(problem)
-    # Setting output i True adds its group's weight unless a member is True.
-    charge = [(0, 0) if g is None else groups[g] for g in group]
-    live = everything & ~dominated(formula, groups, group)
+    weights = problem.weights
+    live = everything & ~dominated(formula, weights)
     # The first undominated output at or after position i: the one its
     # node decides.
     nxt = [n] * (n + 1)
@@ -225,7 +194,7 @@ def solve_min(problem, budget_ms=None):
         decisions += 1
         if deadline is not None and time.monotonic() > deadline:
             if best is None:
-                best = (everything, problem.objective(frozenset(outputs)))
+                best = (everything, sum(weights))
             raise BudgetExceeded(assignment(*best))
         if best is not None and cost >= best[1]:
             continue
@@ -240,8 +209,8 @@ def solve_min(problem, budget_ms=None):
             continue
         if best is not None:
             if data is None:
-                data = bound_data(problem, groups, group)
-            lb = lower_bound(data, i, m, formula.failing(val))
+                data = bound_data(problem)
+            lb = lower_bound(data, i, formula.failing(val))
             if lb is None or cost + lb >= best[1]:
                 continue
         # A True child's "rest True" is its parent's, already satisfiable;
@@ -250,8 +219,7 @@ def solve_min(problem, budget_ms=None):
         if false_child and formula.values(m | live >> i << i) & holds != holds:
             continue
         # The False child is pushed last, so it is searched first.
-        members, w = charge[i]
-        stack.append((nxt[i + 1], m | 1 << i, cost if m & members else cost + w, None))
+        stack.append((nxt[i + 1], m | 1 << i, cost + weights[i], None))
         stack.append((nxt[i + 1], m, cost, val))
     assert best is not None  # all-true satisfied, so something must
     return assignment(*best)

@@ -9,9 +9,9 @@ path by path, because dependencies serve single paths. A control
 dependency counts only where the code can carry it: an existing one
 at a branch on the source's value, a synthesized one at a block the
 source's block strictly dominates. check_claims compares what a plan
-states about itself, its barrier anchors and its cost, with
-`emit.edge_anchor` and with `plan_cost`, the encoder's cost rule
-restated here. brute_min is the
+states about itself with the function, `emit.edge_anchor` and
+`plan_cost`, the encoder's cost rule restated here: the edges, actions
+and blocks it names, its barrier anchors and its cost. brute_min is the
 exhaustive optimization oracle for small problems; greedy is the
 deliberately simple baseline the optimizer is measured against.
 """
@@ -341,14 +341,19 @@ def plan_cost(cfg, costs, plan):
 
 def check_claims(cfg, costs, plan):
     """Mismatch strings for what a plan states about itself: every edge
-    device on an edge of the function and every mode on one of its
-    actions, every barrier at the place `emit.edge_anchor` gives its
-    edge, and the cost `plan_cost` gives."""
+    device on an edge of the function, every action a device names one
+    of its actions and every data use's bind "-" or one of its blocks,
+    every barrier at the place `emit.edge_anchor` gives its edge, and the
+    cost `plan_cost` gives."""
     edges = {(s, d) for s, d, _ in cfg.edges}
     name = plan.function
     out = [f"NO EDGE {name}: {x.src}->{x.dst}" for x in plan.barriers + plan.ctrl_uses
            if (x.src, x.dst) not in edges]
-    out += [f"NO ACTION {name}: {m.action}" for m in plan.modes if m.action not in cfg.action_block]
+    named = [m.action for m in plan.modes] + [u.source for u in plan.ctrl_uses]
+    named += [a for u in plan.data_uses for a in (u.source, u.target)]
+    out += [f"NO ACTION {name}: {a}" for a in named if a not in cfg.action_block]
+    out += [f"NO BLOCK {name}: data use bound to {u.bind}" for u in plan.data_uses
+            if u.bind != "-" and u.bind not in cfg.blocks]
     if out:
         return out
     for b in plan.barriers:

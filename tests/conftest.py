@@ -197,10 +197,10 @@ def random_cut_source(rng, kinds=("pu", "vo")):
 
 def random_problem(rng, max_vars=14, max_weight=50, and_rows=False, cyclic=False):
     """Synthetic monotone minimization problem (always satisfiable: the
-    all-true assignment meets every clause). Cost weights are drawn from
-    1..max_weight. With `and_rows`, a clause may instead be an and of its
-    picks, or an or whose last pick is joined by an and with one more
-    output. With `cyclic`, one to three definitions name each other in a
+    all-true assignment meets every clause). Each output's weight is
+    drawn from 1..max_weight. With `and_rows`, a clause may instead be an
+    and of its picks, or an or whose last pick is joined by an and with
+    one more output. With `cyclic`, one to three definitions name each other in a
     ring, each either an or of its picks and of (an output and the next
     definition), as `encode` cuts an xo path by a dependency, or an and of
     an or of its picks and the next definition; one or two assertions
@@ -238,35 +238,21 @@ def random_problem(rng, max_vars=14, max_weight=50, and_rows=False, cyclic=False
                 defs[name] = ("and", (("or", picks), after))
         for k in range(rng.randint(1, 2)):
             asserts.append((f"ring{k}", ("def", rng.choice(ring))))
-    cost_terms = []
-    i = 0
-    while i < n:
-        if rng.random() < 0.2 and i + 1 < n:
-            cost_terms.append((rng.randint(1, max_weight), frozenset(outputs[i : i + 2])))
-            i += 2
-        else:
-            cost_terms.append((rng.randint(1, max_weight), frozenset([outputs[i]])))
-            i += 1
     return encode.Problem(
         function="synthetic",
         arch="none",
         outputs=outputs,
         defs=defs,
         asserts=asserts,
-        cost_terms=cost_terms,
+        weights=[rng.randint(1, max_weight) for _ in outputs],
     )
 
 
-def reference_dominated(formula, groups, group):
+def reference_dominated(formula, weights):
     """Reference for `solver.dominated`: the same rule read off the rows
-    themselves. Output x is dominated when its group is x alone, no and
-    row names it, and every or row naming x also names a strictly cheaper
-    singleton-group output."""
-    n = len(group)
-    weight = [None] * n  # an output's weight if its group is a singleton
-    for x, g in enumerate(group):
-        if g is not None and groups[g][0] == 1 << x:
-            weight[x] = groups[g][1]
+    themselves. Output x is dominated when no and row names it, and every
+    or row naming x also names a strictly cheaper output."""
+    n = len(weights)
     bits = lambda mask: [i for i in range(n) if mask >> i & 1]
     together = [(1 << n) - 1] * n  # outputs named by every row naming x
     in_and = 0
@@ -278,10 +264,9 @@ def reference_dominated(formula, groups, group):
                 for x in bits(mask):
                     together[x] &= mask
     never = 0
-    for x, w in enumerate(weight):
-        if w is not None and not in_and >> x & 1:
-            if any(weight[y] is not None and weight[y] < w for y in bits(together[x])):
-                never |= 1 << x
+    for x, w in enumerate(weights):
+        if not in_and >> x & 1 and any(weights[y] < w for y in bits(together[x])):
+            never |= 1 << x
     return never
 
 

@@ -438,27 +438,42 @@ def test_branch_to_one_block_twice_keeps_both_edges(tmp_path, capsys):
     ]
 
 
+def _add(key, item, cost):
+    """A spoiler that adds `item` to a plan's `key` list and raises its cost
+    by `cost`, what the item would cost if its function had it."""
+    return lambda p: (p[key].append(item), p.update(cost=p["cost"] + cost))
+
+
 @pytest.mark.parametrize(
-    "spoil, lines",
+    "name, function, spoil, lines",
     [
-        pytest.param(lambda p: p["barriers"][0].update(anchor="entry", position="end"),
+        pytest.param("mp", "recv",
+                     lambda p: p["barriers"][0].update(anchor="entry", position="end"),
                      ["MISPLACED recv: dmb on loop->done is at entry end, belongs at done begin"],
                      id="anchor"),
-        pytest.param(lambda p: p.update(cost=1),
+        pytest.param("mp", "recv", lambda p: p.update(cost=1),
                      ["COST recv: plan states 1, its devices cost 65 at the prices check was"
                       " given (--costs/RMCFENCE_COSTS, --loop-factor); a plan compiled at"
                       " other prices differs too"], id="cost"),
-        pytest.param(lambda p: p["barriers"][0].update(src="done"),
+        pytest.param("mp", "recv", lambda p: p["barriers"][0].update(src="done"),
                      ["NO EDGE recv: done->done"], id="no-edge"),
+        pytest.param("mp", "recv",
+                     _add("ctrl_uses",
+                          {"source": "zz", "src": "loop", "dst": "done", "mode": "existing"}, 2),
+                     ["NO ACTION recv: zz"], id="ctrl-source"),
+        pytest.param("widget", "use_widget",
+                     _add("data_uses", {"bind": "nowhere", "source": "zz", "target": "qq"}, 1),
+                     ["NO ACTION use_widget: zz", "NO ACTION use_widget: qq",
+                      "NO BLOCK use_widget: data use bound to nowhere"], id="data-use"),
     ],
 )
-def test_check_verifies_what_a_plan_claims(tmp_path, capsys, spoil, lines):
-    # the barrier still cuts every path, so only the claim is wrong
-    src, dest = str(corpus_path("mp")), tmp_path / "plan.json"
+def test_check_verifies_what_a_plan_claims(tmp_path, capsys, name, function, spoil, lines):
+    # every constraint is still cut, so only the claim is wrong
+    src, dest = str(corpus_path(name)), tmp_path / "plan.json"
     run(capsys, "compile", src, "--arch", "armv7", "--out", str(dest))
     doc = json.loads(dest.read_text())
-    (recv,) = [plan for plan in doc if plan["function"] == "recv"]
-    spoil(recv)
+    (plan,) = [plan for plan in doc if plan["function"] == function]
+    spoil(plan)
     dest.write_text(json.dumps(doc))
     code, out, err = run(capsys, "check", src, str(dest), "--arch", "armv7")
     assert (code, out.splitlines()[: len(lines)], err) == (cli.EXIT_INVALID, lines, "")

@@ -155,13 +155,13 @@ def test_internal_errors_leave_no_cyclic_garbage(collector_off, monkeypatch, bro
 def test_a_budget_run_out_mid_search_leaves_no_cyclic_garbage(tmp_path, collector_off,
                                                                monkeypatch):
     # A clock that moves 1 ms per reading, one reading per search node,
-    # runs a 150 ms budget out in the middle of walk(4)'s search on armv8,
+    # runs a 100 ms budget out in the middle of walk(4)'s search on armv8,
     # holding an incumbent dearer than the optimum (960).
     ticks = itertools.count()
     monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: next(ticks) / 1000))
     src = _source(tmp_path, "walk4.rmcir", walk_source(4))
     dest = tmp_path / "plan.json"
-    argv = ["compile", src, "--arch", "armv8", "--budget-ms", "150", "--out", str(dest)]
+    argv = ["compile", src, "--arch", "armv8", "--budget-ms", "100", "--out", str(dest)]
     assert cyclic_garbage_after(argv) == (cli.EXIT_BUDGET, 0)
     (plan,) = json.loads(dest.read_text())
     assert (plan["status"], plan["cost"]) == ("incumbent", 1077)

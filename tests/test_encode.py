@@ -60,28 +60,23 @@ def test_no_edge_weights_without_outputs(monkeypatch):
 
     monkeypatch.setattr(graph, "edge_weights", unwanted)
     for a in analyze_corpus("mp", "x86"):
-        assert a.problem.outputs == [] and a.problem.cost_terms == []
+        assert a.problem.outputs == [] and a.problem.weights == []
 
 
-def test_objective_costs_positive_and_grouped():
+def test_every_output_has_a_positive_price():
     for name, a in _all_problems("armv8"):
-        covered = set()
-        for w, group in a.problem.cost_terms:
-            assert w >= 1
-            assert group
-            assert not (group & covered), "each output is charged exactly once"
-            covered |= group
-        assert covered == set(a.problem.outputs)
+        p = a.problem
+        assert len(p.weights) == len(p.outputs), (name, a.func.name)
+        assert all(isinstance(w, int) and w >= 1 for w in p.weights), (name, a.func.name)
+        assert p.objective(frozenset(p.outputs)) == sum(p.weights)
 
 
-def test_data_uses_share_one_cost_term():
+def test_a_data_use_is_one_output_per_scope_source_and_target():
     (a,) = [x for n, x in _all_problems("armv7") if x.func.name == "use_widget" and n == "widget"]
-    groups = [g for _w, g in a.problem.cost_terms if any(v.kind == "use_data" for v in g)]
-    # one group per (scope, source, target) pair, charged once regardless of paths
-    assert len(groups) == 2
-    for w, g in a.problem.cost_terms:
-        if any(v.kind == "use_data" for v in g):
-            assert w == a.costs.dep("data_existing")
+    # one output per (scope, source, target), priced once whatever its paths
+    data = [(v, w) for v, w in zip(a.problem.outputs, a.problem.weights) if v.kind == "use_data"]
+    assert [v.detail for v, _w in data] == [("entry", "a0", "a1"), ("entry", "a0", "a2")]
+    assert all(w == a.costs.dep("data_existing") for _v, w in data)
 
 
 def test_disabling_dependencies_never_cheapens():
@@ -104,7 +99,7 @@ def test_cyclic_definitions_take_greatest_fixpoint():
         outputs=[v],
         defs={"x": ("or", (("out", v), ("def", "y"))), "y": ("def", "x")},
         asserts=[("cycle", ("def", "x"))],
-        cost_terms=[(1, frozenset([v]))],
+        weights=[1],
     )
     # A cycle with no grounded support still self-justifies under the
     # greatest fixpoint — the coinductive reading the rules rely on.
@@ -119,7 +114,7 @@ def test_acyclic_definitions_stay_grounded():
         outputs=[v],
         defs={"x": ("or", (("out", v),))},
         asserts=[("need", ("def", "x"))],
-        cost_terms=[(1, frozenset([v]))],
+        weights=[1],
     )
     assert not encode.satisfies(problem, frozenset())
     assert encode.satisfies(problem, frozenset([v]))
@@ -129,7 +124,7 @@ def test_components_without_references_are_one_sorted_run():
     v = encode.OutputVar("barrier", ("k", "a", "b"))
     defs = {"z": ("out", v), "b": encode.TRUE, "m": ("and", (("out", v), encode.TRUE))}
     problem = encode.Problem(
-        function="t", arch="none", outputs=[v], defs=defs, asserts=[], cost_terms=[]
+        function="t", arch="none", outputs=[v], defs=defs, asserts=[], weights=[1]
     )
     # what the SCC pass yields on an edgeless graph: singletons by name
     assert [sorted(c) for c in graph.sccs(defs, [])] == [["b"], ["m"], ["z"]]
@@ -171,8 +166,8 @@ class _DataclassOutputVar:
             s, es, ed, mode = self.detail
             return f"use_ctrl[{s} @ {es}->{ed} {mode}]"
         if self.kind == "use_data":
-            b, s, t, pid = self.detail
-            return f"use_data[{b} {s}->{t} {pid}]"
+            b, s, t = self.detail
+            return f"use_data[{b} {s}->{t}]"
         return f"{self.kind}[{self.detail[0]}]"
 
 
@@ -239,7 +234,7 @@ def test_def_values_equal_naive_greatest_fixpoint():
         asserts = [(f"a{rng.randint(0, 2)}", expr(3)) for _ in range(rng.randint(0, 5))]
         problem = encode.Problem(
             function="t", arch="none", outputs=outs, defs=defs,
-            asserts=asserts, cost_terms=[],
+            asserts=asserts, weights=[1] * len(outs),
         )
         c = encode.compiled(problem)
         name_of = {slot: name for name, slot in c.def_slot.items()}

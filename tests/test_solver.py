@@ -1,7 +1,17 @@
+"""Tests of the exact search.
+
+`solver_nodes.json` holds the search nodes of the corpus and of the
+walks (`test_node_counts_unchanged`). Rewrite it only when a change to
+the search is meant to move them:
+
+    PYTHONPATH=src python tests/test_solver.py --write
+"""
+
 import gc
 import json
 import pathlib
 import random
+import sys
 import weakref
 
 import pytest
@@ -22,7 +32,8 @@ from conftest import (
 # Search nodes (`Assignment.decisions`) per "<file> <arch> <function>" of the
 # corpus and per "walk<n> <arch>" of `walk_source(n)`. A change that means
 # to alter node counts regenerates the fixture and says why.
-NODES = json.loads((pathlib.Path(__file__).parent / "solver_nodes.json").read_text())
+NODES_FILE = pathlib.Path(__file__).resolve().parent / "solver_nodes.json"
+NODES = json.loads(NODES_FILE.read_text())
 
 
 def test_matches_exhaustive_on_corpus():
@@ -73,35 +84,34 @@ def _or(*vs):
     return ("or", tuple(("out", v) for v in vs))
 
 
+def _problem(name, outputs, asserts, weights):
+    return encode.Problem(function=name, arch="none", outputs=outputs, defs={}, asserts=asserts,
+                          weights=weights)
+
+
 def test_dominance_needs_a_strictly_cheaper_output():
-    # a and b cost the same, so neither dominates the other: {a} and {b, c}
-    # are both optimal at 5, and {b, c} is the lexicographically least.
-    a, b, c = _outs("a", "b", "c")
-    p = encode.Problem(
-        function="tie", arch="none", outputs=[a, b, c], defs={},
-        asserts=[("ab", _or(a, b)), ("ac", _or(a, c))],
-        cost_terms=[(5, frozenset([a])), (5, frozenset([b]))],
-    )
-    assert solver.dominated(encode.compiled(p), *solver.cost_groups(p)) == 0
+    # a and b share their one row at the same cost, so neither dominates
+    # the other: {a} and {b} are both optimal at 5, and {b} is the
+    # lexicographically least. One less on a makes b dominated.
+    a, b = _outs("a", "b")
+    p = _problem("tie", [a, b], [("ab", _or(a, b))], [5, 5])
+    assert solver.dominated(encode.compiled(p), p.weights) == 0
     got = solver.solve_min(p)
-    assert got.true_vars == frozenset([b, c]) == _lex_least_optimum(p)
+    assert got.true_vars == frozenset([b]) == _lex_least_optimum(p)
     assert got.cost == 5
+    cheaper = _problem("cheaper", [a, b], [("ab", _or(a, b))], [4, 5])
+    assert solver.dominated(encode.compiled(cheaper), cheaper.weights) == 0b10
 
 
 def test_an_output_inside_an_and_is_not_dominated():
     # x is named beside the cheaper y, but also inside an and, where y
     # cannot stand in for it; the optimum sets x.
     x, y, z, w = _outs("x", "y", "z", "w")
-    p = encode.Problem(
-        function="and", arch="none", outputs=[x, y, z, w], defs={},
-        asserts=[
-            ("xy", _or(x, y)),
-            ("xz_or_w", ("or", (("and", (("out", x), ("out", z))), ("out", w)))),
-        ],
-        cost_terms=[(5, frozenset([x])), (3, frozenset([y])), (1, frozenset([z])),
-                    (100, frozenset([w]))],
-    )
-    assert solver.dominated(encode.compiled(p), *solver.cost_groups(p)) == 0
+    p = _problem("and", [x, y, z, w], [
+        ("xy", _or(x, y)),
+        ("xz_or_w", ("or", (("and", (("out", x), ("out", z))), ("out", w)))),
+    ], [5, 3, 1, 100])
+    assert solver.dominated(encode.compiled(p), p.weights) == 0
     got, ref = solver.solve_min(p), verify.brute_min(p)
     assert (got.true_vars, got.cost) == (ref.true_vars, ref.cost) == (frozenset([x, z]), 6)
 
@@ -111,7 +121,7 @@ def test_equal_costs_from_an_override_turn_dominance_off():
 
     def solve(costs_text=None):
         p = analyze(func, "armv8", costs_text=costs_text).problem
-        never = solver.dominated(encode.compiled(p), *solver.cost_groups(p))
+        never = solver.dominated(encode.compiled(p), p.weights)
         got = solver.solve_min(p)
         assert got.true_vars == _lex_least_optimum(p)
         detail = lambda vs: sorted(v.detail[0] for v in vs)
@@ -141,9 +151,9 @@ def test_dominated_equals_the_row_walk_reference():
         problems += [analyze(func, a).problem for a in ("armv7", "armv8", "power")]
     some = 0
     for p in problems:
-        formula, (groups, group) = encode.compiled(p), solver.cost_groups(p)
-        got = solver.dominated(formula, groups, group)
-        assert got == reference_dominated(formula, groups, group), p.function
+        formula = encode.compiled(p)
+        got = solver.dominated(formula, p.weights)
+        assert got == reference_dominated(formula, p.weights), p.function
         some += got != 0
     assert some >= 100
 
@@ -173,7 +183,8 @@ def test_each_node_evaluates_the_formula_at_most_once(monkeypatch):
         assert calls <= got.decisions + 1, (name, arch_name, p.function)
 
 
-def test_node_counts_unchanged():
+def node_counts():
+    """The search nodes of every problem `solver_nodes.json` holds."""
     got = {}
     for name in CORPUS_NAMES:
         for arch_name in ARCHES:
@@ -187,7 +198,19 @@ def test_node_counts_unchanged():
                 # The walk exercises cyclic definitions.
                 assert any(cycle for _rows, cycle in encode.compiled(a.problem).steps)
             got[f"walk{n} {arch_name}"] = solver.solve_min(a.problem).decisions
-    assert got == NODES
+    return got
+
+
+def test_node_counts_unchanged():
+    assert node_counts() == NODES
+
+
+@pytest.mark.parametrize("n, arch_name, cost", [(4, "armv8", 960), (4, "power", 1160),
+                                                (5, "armv8", 1905), (6, "armv8", 3922)])
+def test_walks_are_proven_optimal_within_two_seconds(n, arch_name, cost):
+    (func,) = parse_valid(walk_source(n))
+    got = solver.solve_min(analyze(func, arch_name).problem, 2000)
+    assert (got.cost, got.optimal) == (cost, True)
 
 
 def test_deterministic_across_runs():
@@ -198,10 +221,7 @@ def test_deterministic_across_runs():
 
 
 def test_unsatisfiable_is_reported():
-    p = encode.Problem(
-        function="t", arch="none", outputs=[], defs={},
-        asserts=[("impossible", ("const", False))], cost_terms=[],
-    )
+    p = _problem("t", [], [("impossible", ("const", False))], [])
     with pytest.raises(solver.Unsatisfiable):
         solver.solve_min(p)
 
@@ -222,11 +242,8 @@ def test_deep_search_does_not_recurse():
     # Each output is one level of the search; a recursive search raises
     # RecursionError about 1,000 outputs deep.
     outputs = [encode.OutputVar("barrier", ("k", f"b{i:04}", "c")) for i in range(1200)]
-    p = encode.Problem(
-        function="deep", arch="none", outputs=outputs, defs={},
-        asserts=[("all", ("and", tuple(("out", v) for v in outputs)))],
-        cost_terms=[(1, frozenset([v])) for v in outputs],
-    )
+    p = _problem("deep", outputs, [("all", ("and", tuple(("out", v) for v in outputs)))],
+                 [1] * len(outputs))
     got = solver.solve_min(p)
     assert got.true_vars == frozenset(outputs)
     assert got.cost == 1200
@@ -282,8 +299,8 @@ if HAVE_HYPOTHESIS:
         i = data.draw(st.integers(0, n))
         mask = data.draw(st.integers(0, (1 << i) - 1))
         trues = frozenset(v for j, v in enumerate(p.outputs[:i]) if mask >> j & 1)
-        bound = solver.bound_data(p, *solver.cost_groups(p))
-        lb = solver.lower_bound(bound, i, mask, encode.failed_assertions(p, trues))
+        bound = solver.bound_data(p)
+        lb = solver.lower_bound(bound, i, encode.failed_assertions(p, trues))
         rest = p.outputs[i:]
         cheapest = None
         for m in range(1 << len(rest)):
@@ -300,8 +317,16 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=300, deadline=None)
     def test_result_is_the_lexicographically_least_optimum_with_dominance(seed, and_rows, cyclic):
         # Weights 1..3 make both strict dominance and equal-cost ties
-        # common; and rows and shared groups turn it off for their outputs.
+        # common; and rows turn it off for their outputs.
         # A ring of definitions puts cyclic steps through the search.
         p = random_problem(random.Random(seed), max_vars=10, max_weight=3, and_rows=and_rows,
                            cyclic=cyclic)
         assert solver.solve_min(p).true_vars == _lex_least_optimum(p)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_solver.py --write")
+    counts = node_counts()
+    NODES_FILE.write_text(json.dumps(counts, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(counts)} node counts to {NODES_FILE}")

@@ -47,12 +47,10 @@ def test_greedy_plans_pass_the_checker():
 FLAG_SETS = ({}, {"synth_deps": True}, {"ctrl_deps": False}, {"data_deps": False})
 
 
-def test_formula_agrees_with_the_checker_on_group_closed_plans():
+def test_formula_agrees_with_the_checker_on_every_plan():
     # Every corpus problem of at most 12 outputs, on every architecture and
-    # flag set: an output subset closed under cost groups satisfies the
-    # formula exactly when the checker accepts its plan. Closure is needed
-    # because `to_plan` merges a triple's per-path use_data outputs into
-    # one DataUse.
+    # flag set: an output subset satisfies the formula exactly when the
+    # checker accepts its plan.
     problems = subsets = 0
     for name in CORPUS_NAMES:
         for arch_name in ARCHES:
@@ -61,14 +59,9 @@ def test_formula_agrees_with_the_checker_on_group_closed_plans():
                     p = a.problem
                     if len(p.outputs) > 12:
                         continue
-                    units = [group for _w, group in p.cost_terms]
-                    covered = frozenset().union(*units)
-                    assert sum(map(len, units)) == len(covered)
-                    units += [frozenset([v]) for v in p.outputs if v not in covered]
                     problems += 1
-                    for mask in range(1 << len(units)):
-                        trues = frozenset().union(
-                            *(u for i, u in enumerate(units) if mask >> i & 1))
+                    for mask in range(1 << len(p.outputs)):
+                        trues = frozenset(v for i, v in enumerate(p.outputs) if mask >> i & 1)
                         asg = solver.Assignment(trues, p.objective(trues))
                         accepted = _check(a, emit.to_plan(p, a.cfg, asg)) == []
                         assert encode.satisfies(p, trues) == accepted, (
