@@ -562,24 +562,46 @@ class Compiled:
         return val
 
     def supports(self):
-        """(label, output mask of its support) per assertion: the outputs
-        it reaches through rows and definitions. A cyclic component's
-        masks grow from empty until none changes."""
+        """(label, output mask of its support, whether it reaches a join)
+        per assertion: the outputs it reaches through rows and
+        definitions, and whether one of those rows is a join, an and row
+        of two or more parts. An acyclic step takes one pass. A cyclic
+        component's masks grow from empty until none changes, so its
+        child masks are split into slots once, before the passes."""
+        join = 1 << len(self.index)
         reach = [0] * self.nslots
         for rows, cycle in self.steps:
-            changed = True
-            while changed:
-                changed = False
-                for bit, _is_and, mask, kids in rows:
+            if not cycle:
+                for bit, is_and, mask, kids in rows:
+                    if is_and and mask.bit_count() + kids.bit_count() > 1:
+                        mask |= join
                     while kids:
                         low = kids & -kids
                         mask |= reach[low.bit_length() - 1]
                         kids ^= low
-                    slot = bit.bit_length() - 1
+                    reach[bit.bit_length() - 1] = mask
+                continue
+            links = []
+            for bit, is_and, mask, kids in rows:
+                if is_and and mask.bit_count() + kids.bit_count() > 1:
+                    mask |= join
+                slots = []
+                while kids:
+                    low = kids & -kids
+                    slots.append(low.bit_length() - 1)
+                    kids ^= low
+                links.append((bit.bit_length() - 1, mask, slots))
+            changed = True
+            while changed:
+                changed = False
+                for slot, mask, slots in links:
+                    for k in slots:
+                        mask |= reach[k]
                     if reach[slot] != mask:
                         reach[slot] = mask
-                        changed = bool(cycle)
-        return [(label, reach[slot]) for label, slot in self.asserts]
+                        changed = True
+        return [(label, reach[slot] & ~join, reach[slot] & join != 0)
+                for label, slot in self.asserts]
 
     def failing(self, val):
         """Labels of the assertions false in the slot values `val`, in

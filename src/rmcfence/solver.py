@@ -17,6 +17,28 @@ are a suffix of each assertion's sorted support, so `bound_data`
 tabulates, per assertion and suffix, the cheapest weight and the output
 mask; a node looks its entry up by bisection.
 
+One device is too little where an assertion's rows join. A `pu` or `vo`
+assertion needs a whole cut of the walks from its source to its target,
+and past a diamond that is one device per arm. So a failing assertion
+none of whose outputs is decided yet pays at least its min cut (Ford &
+Fulkerson, *Maximal flow through a network*, 1956). That is a max-flow
+over its own rows read as a network. A row is a node, slot 0 (the
+constant False) is the source and the assertion's slot is the sink. An
+or row with at most one child slot is one edge, from that child or from
+the source, which its cheapest output cuts. An and row takes an
+uncuttable edge from each child slot and one edge from the source per
+output it names. A row is then true exactly when every path to it from
+the source crosses a placed output; on cyclic rows that is the greatest
+fixpoint too. An or row of two or more child slots has no such reading,
+so an assertion whose rows include one gets no cut. An output on several
+edges cuts them all for one price, so each edge charges only its
+output's weight divided by the number of edges naming it, rounded down.
+
+The cut is memoised per solve and computed only on first need: for
+assertions whose rows reach a join (an and row of two or more parts),
+at nodes the one-device bound did not already prune. A problem without
+a join pays one int comparison per node.
+
 Two exact moves keep the search where an optimum can be. First, an
 output that no optimum sets True is never decided at all (`dominated`):
 every row of the formula that names it is an or row, and all of those
@@ -47,9 +69,9 @@ optimum found is still the lexicographically smallest one, and results
 are deterministic.
 """
 
-import bisect
 import math
 import time
+from bisect import bisect_left
 from collections import namedtuple
 from operator import itemgetter
 
@@ -69,11 +91,16 @@ class BudgetExceeded(Exception):
 # `true_vars` is a frozenset of OutputVars.
 Assignment = namedtuple("Assignment", "true_vars cost optimal decisions", defaults=(True, 0))
 
-# What the lower bound needs of a problem, computed once. `support` maps
-# an assertion label to the sorted indices of the outputs it reaches;
-# `suffix` maps it to, per position p in its support, (cheapest weight,
-# output mask) of the outputs support[p:].
-BoundData = namedtuple("BoundData", "support suffix")
+# What the lower bound needs of a problem, computed once per solve.
+# `support` maps an assertion label to the sorted indices of the outputs
+# it reaches; `suffix` maps it to, per position p in its support,
+# (cheapest weight, output mask) of the outputs support[p:]. `joins` is
+# the set of labels whose rows reach a join, `last_join` the greatest
+# first support index among them (-1 if none), and `cut(label)` the
+# label's min cut, memoised.
+BoundData = namedtuple("BoundData", "support suffix joins last_join cut")
+
+_CHEAPEST = itemgetter(0)
 
 
 def _bits(mask):
@@ -89,21 +116,109 @@ def _bits(mask):
 def bound_data(problem):
     """The `BoundData` of `problem`."""
     weights = problem.weights
-    support = {}
-    for label, mask in encode.compiled(problem).supports():
+    formula = encode.compiled(problem)
+    support, joins = {}, set()
+    for label, mask, join in formula.supports():
         # Assertions that share a label share the union of their supports:
         # a larger support only weakens the bound.
         support[label] = support.get(label, 0) | mask
+        if join and mask:
+            joins.add(label)
     support = {label: _bits(mask) for label, mask in support.items()}
     suffix = {}
     for label, outs in support.items():
-        table, entry = [None] * len(outs), (math.inf, 0)
-        for p in reversed(range(len(outs))):
+        table, cheapest, mask = [None] * len(outs), math.inf, 0
+        for p in range(len(outs) - 1, -1, -1):
             x = outs[p]
-            entry = (min(entry[0], weights[x]), entry[1] | 1 << x)
-            table[p] = entry
+            if weights[x] < cheapest:
+                cheapest = weights[x]
+            mask |= 1 << x
+            table[p] = (cheapest, mask)
         suffix[label] = table
-    return BoundData(support, suffix)
+    if not joins:
+        return BoundData(support, suffix, joins, -1, None)
+    rows, cuts = {}, {}  # slot -> row and label -> min cut, filled on first need
+
+    def cut(label):
+        got = cuts.get(label)
+        if got is None:
+            if not rows:
+                rows.update((row[0].bit_length() - 1, row) for step, _ in formula.steps
+                            for row in step)
+            # A failing label may fail in any of its assertions, so it
+            # pays the least of their cuts.
+            got = cuts[label] = min(_min_cut(rows, weights, slot)
+                                    for name, slot in formula.asserts if name == label)
+        return got
+
+    last_join = max(support[label][0] for label in joins)
+    return BoundData(support, suffix, joins, last_join, cut)
+
+
+def _min_cut(rows, weights, sink):
+    """The min cut of the assertion at slot `sink` (see the module
+    docstring), or 0 if its rows include an or row of two or more child
+    slots. `rows` maps a slot to its `encode.Compiled` row."""
+    if sink not in rows:  # a constant
+        return 0
+    # (tail, head, the outputs that cut it); no outputs: uncuttable
+    edges = []
+    seen, todo = {sink}, [sink]
+    while todo:
+        head = todo.pop()
+        _bit, is_and, mask, kids = rows[head]
+        tails = _bits(kids)
+        if is_and:
+            edges += [(k, head, ()) for k in tails]
+            edges += [(0, head, (x,)) for x in _bits(mask)]
+        elif len(tails) > 1:
+            return 0
+        else:
+            edges.append((tails[0] if tails else 0, head, _bits(mask)))
+        for k in tails:
+            if k > 1 and k not in seen:  # slots 0 and 1 are the constants
+                seen.add(k)
+                todo.append(k)
+    named = [0] * len(weights)
+    for _tail, _head, outs in edges:
+        for x in outs:
+            named[x] += 1
+    cap = {}  # tail -> head -> residual capacity
+    for tail, head, outs in edges:
+        c = math.inf
+        for x in outs:
+            share = weights[x] // named[x]
+            if share < c:
+                c = share
+        out = cap.get(tail)
+        if out is None:
+            out = cap[tail] = {}
+        out[head] = out.get(head, 0) + c
+    # Edmonds-Karp: augment along shortest residual paths from slot 0.
+    flow, no_edges = 0, {}
+    while True:
+        back, todo = {0: 0}, [0]
+        for u in todo:
+            for v, c in cap.get(u, no_edges).items():
+                if c and v not in back:
+                    back[v] = u
+                    todo.append(v)
+            if sink in back:
+                break
+        else:
+            return flow
+        path, v = [], sink
+        while v:
+            path.append((back[v], v))
+            v = back[v]
+        push = min(cap[u][v] for u, v in path)
+        if push == math.inf:
+            return push
+        for u, v in path:
+            cap[u][v] -= push
+            rev = cap.setdefault(v, {})
+            rev[u] = rev.get(u, 0) + push
+        flow += push
 
 
 def dominated(formula, weights):
@@ -133,25 +248,46 @@ def dominated(formula, weights):
     return never
 
 
-def lower_bound(data, i, failed):
-    """A lower bound on the cost that any satisfying completion setting
-    only outputs i.. True adds, given the labels of the assertions the
-    current assignment fails; None if one of them can no longer be
-    satisfied."""
-    needs = []
-    for label in failed:
-        support = data.support[label]
-        p = bisect.bisect_left(support, i)
-        if p == len(support):
-            return None
-        needs.append(data.suffix[label][p])
-    needs.sort(key=itemgetter(0), reverse=True)
+def _pack(needs):
+    """The sum of the (cheapest weight, output mask) entries taken
+    greedily, dearest first, while their masks stay disjoint."""
+    needs.sort(key=_CHEAPEST, reverse=True)
     lb, used = 0, 0
     for cheapest, outs in needs:
         if not used & outs:
             lb += cheapest
             used |= outs
     return lb
+
+
+def lower_bound(data, i, failed, enough=math.inf):
+    """A lower bound on the cost that any satisfying completion setting
+    only outputs i.. True adds, given the labels of the assertions the
+    current assignment fails; None if one of them can no longer be
+    satisfied.
+
+    Each failing assertion needs one of its undecided outputs, and those
+    whose undecided outputs are disjoint pay separately. Once that bound
+    is below `enough`, a failing label that reaches a join and has no
+    decided output pays at least its min cut instead. It does so as a
+    second entry with the same mask: the packing takes the dearer of the
+    two and never both."""
+    support, suffix = data.support, data.suffix
+    needs = []
+    for label in failed:
+        outs = support[label]
+        p = bisect_left(outs, i)
+        if p == len(outs):
+            return None
+        needs.append(suffix[label][p])
+    lb = _pack(needs)
+    if i > data.last_join or lb >= enough:
+        return lb
+    for label in failed:
+        if label in data.joins and support[label][0] >= i:
+            needs.append((data.cut(label), suffix[label][0][1]))
+    # Packing is greedy, so more weight can pack worse: keep the larger.
+    return max(lb, _pack(needs))
 
 
 def solve_min(problem, budget_ms=None):
@@ -210,7 +346,7 @@ def solve_min(problem, budget_ms=None):
         if best is not None:
             if data is None:
                 data = bound_data(problem)
-            lb = lower_bound(data, i, formula.failing(val))
+            lb = lower_bound(data, i, formula.failing(val), best[1] - cost)
             if lb is None or cost + lb >= best[1]:
                 continue
         # A True child's "rest True" is its parent's, already satisfiable;

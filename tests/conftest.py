@@ -199,8 +199,9 @@ def random_problem(rng, max_vars=14, max_weight=50, and_rows=False, cyclic=False
     """Synthetic monotone minimization problem (always satisfiable: the
     all-true assignment meets every clause). Each output's weight is
     drawn from 1..max_weight. With `and_rows`, a clause may instead be an
-    and of its picks, or an or whose last pick is joined by an and with
-    one more output. With `cyclic`, one to three definitions name each other in a
+    and of its picks, an or whose last pick is joined by an and with
+    one more output, or an or of two such ands, on its first and its
+    last pick. With `cyclic`, one to three definitions name each other in a
     ring, each either an or of its picks and of (an output and the next
     definition), as `encode` cuts an xo path by a dependency, or an and of
     an or of its picks and the next definition; one or two assertions
@@ -216,12 +217,15 @@ def random_problem(rng, max_vars=14, max_weight=50, and_rows=False, cyclic=False
         picks = rng.sample(outputs, rng.randint(1, min(4, n)))
         clause = ("or", tuple(("out", v) for v in picks))
         if and_rows:
-            shape = rng.choice(("or", "and", "nested"))
+            shape = rng.choice(("or", "and", "nested", "fork"))
             if shape == "and":
                 clause = ("and", clause[1])
             elif shape == "nested":
                 joined = ("and", (clause[1][-1], ("out", rng.choice(outputs))))
                 clause = ("or", clause[1][:-1] + (joined,))
+            elif shape == "fork":
+                clause = ("or", tuple(("and", (pick, ("out", rng.choice(outputs))))
+                                      for pick in (clause[1][0], clause[1][-1])))
         if rng.random() < 0.3:
             name = f"d{j}"
             defs[name] = clause

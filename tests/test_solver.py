@@ -1,10 +1,12 @@
 """Tests of the exact search.
 
-`solver_nodes.json` holds the search nodes of the corpus and of the
-walks (`test_node_counts_unchanged`). Rewrite it only when a change to
-the search is meant to move them:
+`solver_nodes.json` holds the search nodes of the corpus, of the walks
+and of the diamonds (`test_node_counts_unchanged`). Rewrite it only when
+a change to the search is meant to move them:
 
     PYTHONPATH=src python tests/test_solver.py --write
+
+which prints an old -> new table of every count that moved.
 """
 
 import gc
@@ -26,12 +28,13 @@ except ImportError:
 from rmcfence import encode, solver, verify
 from conftest import (
     ARCHES, CORPUS_NAMES, analyze, analyze_corpus, load_corpus, naive_optima, naive_satisfies,
-    parse_valid, random_problem, reference_dominated, walk_source,
+    parse_valid, random_cut_source, random_problem, reference_dominated, walk_source,
 )
 
 # Search nodes (`Assignment.decisions`) per "<file> <arch> <function>" of the
-# corpus and per "walk<n> <arch>" of `walk_source(n)`. A change that means
-# to alter node counts regenerates the fixture and says why.
+# corpus, per "walk<n> <arch>" of `walk_source(n)` and per "diamonds<n>
+# <arch>" of `_diamonds(n)`. A change that means to alter node counts
+# regenerates the fixture and says why.
 NODES_FILE = pathlib.Path(__file__).resolve().parent / "solver_nodes.json"
 NODES = json.loads(NODES_FILE.read_text())
 
@@ -198,6 +201,10 @@ def node_counts():
                 # The walk exercises cyclic definitions.
                 assert any(cycle for _rows, cycle in encode.compiled(a.problem).steps)
             got[f"walk{n} {arch_name}"] = solver.solve_min(a.problem).decisions
+    for n in (5, 8):
+        for arch_name in ("armv7", "power"):
+            got[f"diamonds{n} {arch_name}"] = solver.solve_min(
+                analyze(_diamonds(n), arch_name).problem).decisions
     return got
 
 
@@ -269,6 +276,33 @@ def _chain(n):
     return func
 
 
+def _diamonds(n):
+    """`_chain(n)` with an if/else diamond between each pair of writes."""
+    decls = "".join(f"  edge vo l{i:03} -> l{i + 2:03};\n" for i in range(n - 2))
+    lines = ["  block b000:", "    write @g000 0 label l000"]
+    for i in range(n - 1):
+        b = 3 * i
+        then, els, join = f"b{b + 1:03}", f"b{b + 2:03}", f"b{b + 3:03}"
+        lines += [f"    %c{i} = op cond{i}()", f"    br %c{i} ? {then} : {els}",
+                  f"  block {then}:", f"    jmp {join}", f"  block {els}:", f"    jmp {join}",
+                  f"  block {join}:", f"    write @g{i + 1:03} {i + 1} label l{i + 1:03}"]
+    body = "\n".join(lines)
+    (func,) = parse_valid(f"func diamonds{n} {{\n{decls}{body}\n    ret\n}}\n")
+    return func
+
+
+def test_diamonds_sixteen_is_proven_optimal_within_a_second():
+    # Each diamond's two arms tie with the edge before it; without the
+    # cut bound the search doubled at every diamond and ran out of 20 s.
+    got = solver.solve_min(analyze(_diamonds(16), "armv7").problem, 1000)
+    assert (got.cost, got.optimal) == (14909440, True)
+
+
+def test_diamonds_return_the_lexicographically_least_optimum():
+    p = analyze(_diamonds(3), "armv7").problem
+    assert solver.solve_min(p).true_vars == _lex_least_optimum(p)
+
+
 def test_lower_bound_cuts_the_search():
     # Without the bound the search took 13,457 nodes on chain(24) armv7.
     p = analyze(_chain(24), "armv7").problem
@@ -289,29 +323,79 @@ def test_never_worse_than_greedy_or_all_barriers():
                 assert got.cost <= gp.cost, (name, a.func.name, arch_name)
 
 
+def _check_bound(p, i, mask):
+    """`lower_bound` at the node that has decided outputs 0..i-1 as
+    `mask` never exceeds what the cheapest satisfying completion adds.
+    Returns the bound, or None when no completion satisfies."""
+    formula = encode.compiled(p)
+    lb = solver.lower_bound(solver.bound_data(p), i, formula.failing(formula.values(mask)))
+    # Every completion, as a mask over outputs i.., and its added cost.
+    rest = len(p.outputs) - i
+    added = [0] * (1 << rest)
+    cheapest = None
+    for m in range(1, 1 << rest):
+        low = m & -m
+        added[m] = added[m ^ low] + p.weights[i + low.bit_length() - 1]
+    for m in range(1 << rest):
+        if (cheapest is None or added[m] < cheapest) and formula.values(
+                mask | m << i) & formula.holds == formula.holds:
+            cheapest = added[m]
+    if cheapest is None:
+        return None
+    assert lb is not None
+    assert lb <= cheapest, (p.function, p.arch, i, bin(mask), lb, cheapest)
+    return lb
+
+
+def test_the_cut_bound_is_what_prunes_the_diamonds():
+    # One vo across two diamonds: one device pays 130 of its 260, the
+    # min cut all of it; that is the cheapest completion.
+    p = analyze(_diamonds(3), "armv7").problem
+    data = solver.bound_data(p)
+    (label,) = data.joins
+    assert data.suffix[label][0][0] == 130
+    assert _check_bound(p, 0, 0) == 260 == solver.solve_min(p).cost
+
+
+def test_an_or_of_two_children_gets_no_cut():
+    # (a and b) or (c and d): the cheapest pair is c, d at 2, but an edge
+    # from the first child alone would charge a + b = 20.
+    a, b, c, d = _outs("a", "b", "c", "d")
+    both = lambda x, y: ("and", (("out", x), ("out", y)))
+    p = _problem("fork", [a, b, c, d], [("ab_or_cd", ("or", (both(a, b), both(c, d))))],
+                 [10, 10, 1, 1])
+    assert solver.bound_data(p).joins == {"ab_or_cd"}
+    assert _check_bound(p, 0, 0) == 1
+
+
+def test_an_output_on_two_edges_pays_once():
+    # (a or b) and (a or c): a cuts both arms for 3, so the cut may charge
+    # each arm only half of a.
+    a, b, c = _outs("a", "b", "c")
+    p = _problem("shared", [a, b, c], [("arms", ("and", (_or(a, b), _or(a, c))))], [3, 9, 9])
+    assert _check_bound(p, 0, 0) == 3
+
+
 if HAVE_HYPOTHESIS:
 
-    @given(st.integers(0, 2**32), st.data())
+    @given(st.integers(0, 2**32), st.booleans(), st.booleans(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_lower_bound_never_exceeds_cheapest_completion(seed, data):
-        p = random_problem(random.Random(seed), max_vars=10)
-        n = len(p.outputs)
-        i = data.draw(st.integers(0, n))
-        mask = data.draw(st.integers(0, (1 << i) - 1))
-        trues = frozenset(v for j, v in enumerate(p.outputs[:i]) if mask >> j & 1)
-        bound = solver.bound_data(p)
-        lb = solver.lower_bound(bound, i, encode.failed_assertions(p, trues))
-        rest = p.outputs[i:]
-        cheapest = None
-        for m in range(1 << len(rest)):
-            full = trues | {v for j, v in enumerate(rest) if m >> j & 1}
-            if encode.satisfies(p, full):
-                c = p.objective(full)
-                cheapest = c if cheapest is None else min(cheapest, c)
-        if cheapest is None:
+    def test_lower_bound_never_exceeds_cheapest_completion(seed, and_rows, cyclic, data):
+        p = random_problem(random.Random(seed), max_vars=10, and_rows=and_rows, cyclic=cyclic)
+        i = data.draw(st.integers(0, len(p.outputs)))
+        _check_bound(p, i, data.draw(st.integers(0, (1 << i) - 1)))
+
+    @given(st.integers(0, 2**32), st.sampled_from(("armv7", "armv8", "power")), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_the_cut_bound_never_exceeds_cheapest_completion_on_programs(seed, arch_name, data):
+        # pu and vo cuts over loops, self-loops and irreducible regions.
+        (func,) = parse_valid(random_cut_source(random.Random(seed)))
+        p = analyze(func, arch_name).problem
+        if len(p.outputs) > 12:
             return
-        assert lb is not None
-        assert p.objective(trues) + lb <= cheapest
+        # At 0 nothing is decided, so every join's cut counts.
+        i = data.draw(st.one_of(st.just(0), st.integers(0, len(p.outputs))))
+        _check_bound(p, i, data.draw(st.integers(0, (1 << i) - 1)))
 
     @given(st.integers(0, 2**32), st.booleans(), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -324,9 +408,27 @@ if HAVE_HYPOTHESIS:
         assert solver.solve_min(p).true_vars == _lex_least_optimum(p)
 
 
+def moved_table(old, new):
+    """The rows of `old` and `new` whose node counts differ, as a
+    Markdown table (a missing row reads "-"), or None if none moved."""
+    moved = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+    if not moved:
+        return None
+    lines = ["| row | before | after |", "|---|---|---|"]
+    lines += [f"| {key} | {old.get(key, '-')} | {new.get(key, '-')} |" for key in moved]
+    return "\n".join(lines)
+
+
+def test_moved_table_lists_changed_added_and_removed_rows():
+    assert moved_table({"a": 1}, {"a": 1}) is None
+    assert moved_table({"a": 1, "b": 2, "c": 3}, {"a": 1, "b": 5, "d": 4}).splitlines()[2:] == [
+        "| b | 2 | 5 |", "| c | 3 | - |", "| d | - | 4 |"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_solver.py --write")
     counts = node_counts()
     NODES_FILE.write_text(json.dumps(counts, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(counts)} node counts to {NODES_FILE}")
+    print(moved_table(NODES, counts) or "no node count moved")
