@@ -1,10 +1,15 @@
 """Control- and data-dependence facts feeding the encoder.
 
-can_data is path-sensitive: the use-def chain must survive every
-execution that follows the path while detouring inside the admissible
-region. The region is a reachability over-approximation of those
-detours, computed over real edges (a detour through function exit ends
-the invocation and cannot carry an SSA value).
+can_data is one fact per (scope, source, target), over one region: the
+blocks reachable from the source's block and reaching the target's over
+real edges, not entering the bind block (a detour through function exit
+ends the invocation and cannot carry an SSA value). Every path of real
+edges that avoids the bind block lies in that region. A path through a
+pseudo edge carries no dependence: it re-enters at the entry and reaches
+the target's block without passing the source's, every value the target
+uses is defined on that stretch (an op's arguments, or the phi arm from
+the previous block), each step strictly earlier by SSA dominance, and so
+the chain ends at a definition other than the source's read.
 """
 
 from .ir import Action, Branch, Phi, PureOp, dominance
@@ -30,7 +35,7 @@ class DepAnalysis:
 
     def _reach(self, start, forward, avoid):
         """The frozenset of blocks reachable from `start` over real edges,
-        forward or backward, without entering `avoid`. Paths share their
+        forward or backward, without entering `avoid`. Triples share their
         ends, so each answer is kept."""
         key = (start, forward, avoid)
         out = self._reach_memo.get(key)
@@ -81,19 +86,15 @@ class DepAnalysis:
 
     # -- facts --------------------------------------------------------------
 
-    def can_data(self, bind, src_action, dst_action, path):
-        """True iff a dependence from src's loaded value reaches dst's
-        address (reads) or address/data (writes, rmws) along `path`. A
-        detour from `path` may visit the blocks reachable from its start
-        and reaching its end, over real edges and avoiding `bind`."""
+    def can_data(self, bind, src_action, dst_action):
+        """True iff src's loaded value reaches dst's address (reads) or
+        address/data (writes, rmws) on every path of real edges between
+        their blocks that avoids `bind`; no other path carries it."""
         if not src_action.reads_value:
             return False
-        fwd, bwd = self._reach(path[0], True, bind), self._reach(path[-1], False, bind)
-        region = (fwd & bwd).union(path)
-        operands = []
-        addr = dst_action.address_operand
-        if addr is not None:
-            operands.append(addr)
+        sblk, tblk = self.cfg.action_block[src_action.id], self.cfg.action_block[dst_action.id]
+        region = self._reach(sblk, True, bind) & self._reach(tblk, False, bind)
+        operands = [dst_action.address_operand]
         if dst_action.kind in ("write", "rmw"):
             operands.append(dst_action.data)
         return any(self.value_depends(src_action, o, region) for o in operands)

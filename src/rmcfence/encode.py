@@ -13,10 +13,12 @@ to block v crosses one, defined as the AND over v's in-edges (u, v) of
 (barrier on (u, v) OR name@u), with s itself False. Only blocks on some
 s->t walk get a definition, and edges out of t are left out, so every
 barrier variable sits on an edge of some s->t walk. An xo edge is cut
-path by path (`xcut_path`), because a data dependency serves a path,
-not a walk; its self-ordering requirement makes those definitions
-cyclic too. A data-dependency use is one output per (scope, source,
-target), offered on every path where the dependence holds. A path is
+path by path (`xcut_path`); its self-ordering requirement makes those
+definitions cyclic too. (A walk form gives the same plans, but it
+splits a path's barriers into one-output rows and the search takes more
+nodes.) A data-dependency use is one output per (scope, source,
+target): `deps.can_data` decides the triple once, and the use is
+offered on every path with no pseudo edge. A path is
 cut by an exec-capable barrier, and the capability levels of `arch`
 (push > vis > exec) make every visibility barrier one, so the vo half
 of the xo rule adds only the target's release.
@@ -310,14 +312,16 @@ class Encoder:
         self._building.add(name)
         s_action = self.cfg.actions[s]
         t_action = self.cfg.actions[t]
-        conj = []
-        for path in self._paths_between(bind, s, t):
-            conj.append(self._xcut_path(bind, s_action, t_action, path))
+        data = self.opt.data_deps and self.deps.can_data(bind, s_action, t_action)
+        use = OutputVar("use_data", (self._bstr(bind), s, t)) if data else None
+        conj = [self._xcut_path(bind, s_action, t_action, path, use)
+                for path in self._paths_between(bind, s, t)]
         self._define(name, _and(conj))
         self._building.discard(name)
         return ("def", name)
 
-    def _xcut_path(self, bind, s_action, t_action, path):
+    def _xcut_path(self, bind, s_action, t_action, path, use):
+        """One path's cut; `use` is the triple's use_data output or None."""
         name = f"xcut_path({self._bstr(bind)},{s_action.id},{t_action.id},{self._pid(path)})"
         if name in self.defs:
             return ("def", name)
@@ -336,14 +340,10 @@ class Encoder:
             if self.defs[cp[1]] != FALSE:
                 side = _or([self._ctrl_self(bind, s_action), self_ref()])
                 disj.append(_and([cp, side]))
-        if (
-            self.opt.data_deps
-            and s_action.reads_value
-            and self.deps.can_data(bind, s_action, t_action, path)
-        ):
-            v = OutputVar("use_data", (self._bstr(bind), s_action.id, t_action.id))
-            self.vars.add(v)
-            disj.append(_and([("out", v), self_ref()]))
+        # the pseudo edges are the edges into the entry; no dependence rides one
+        if use is not None and self.cfg.entry not in path[1:]:
+            self.vars.add(use)
+            disj.append(_and([("out", use), self_ref()]))
         return self._define(name, _or(disj))
 
     # -- boundaries ---------------------------------------------------------

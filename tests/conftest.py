@@ -103,6 +103,31 @@ def naive_optima(problem):
     return best, optima
 
 
+def per_path_data(cfg, bind, src, dst, path, depends):
+    """Reference: the data-dependency rule as it was first decided, one
+    path at a time. A path's region is the blocks reachable from its
+    start and reaching its end over real edges without entering `bind`,
+    plus the path itself; `depends(src, operand, region)` is the
+    dependence walk under test."""
+
+    def grow(start, nbr):
+        seen, todo = set(), [start]
+        while todo:
+            b = todo.pop()
+            if b not in seen and b != bind:
+                seen.add(b)
+                todo.extend(nbr[b])
+        return seen
+
+    if not src.reads_value:
+        return False
+    region = frozenset(grow(path[0], cfg.real_succ) & grow(path[-1], cfg.real_pred) | set(path))
+    operands = [dst.address_operand]
+    if dst.kind in ("write", "rmw"):
+        operands.append(dst.data)
+    return any(depends(src, o, region) for o in operands if o is not None)
+
+
 def analyze(func, arch_name="armv7", costs_text=None, **opt_kw):
     """Full front-half pipeline for one function."""
     cfg = ir.normalize(func)
@@ -192,6 +217,153 @@ def random_cut_source(rng, kinds=("pu", "vo")):
         lines.append(f"edge {kind} {scope}l{rng.randint(1, n)} -> l{rng.randint(1, n)};")
     for i in instrs:
         lines += [f"block b{i}:", *instrs[i], terms[i]]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def nested_diamonds_source(rng):
+    """If/else diamonds nested up to two deep between a first labelled
+    read and a last labelled write, with more labelled reads and writes
+    on some arms and joins. An arm weighs half the edge into its
+    diamond, so cutting both arms of a diamond costs what one barrier
+    before it costs: the tied cuts of the solver's cut bound. A branch
+    may test, and an access may go through or store, a value read
+    earlier on every way to it, so xo paths can ride control and data
+    dependencies. Edges of kinds drawn from pu, vo and xo run from the
+    first action to the last (and maybe between two others), or one over
+    each of two top-level regions in a row. The function may end in a
+    loop instead of returning."""
+    lines, labels, count = ["block entry:"], [], iter(range(1 << 30))
+
+    def pick(values):  # the first read half the time: dependency chains from it
+        return values[0] if rng.random() < 0.5 else rng.choice(values)
+
+    def action(values, write=None):
+        k = next(count)
+        labels.append(f"l{k}")
+        at = f"*{pick(values)}" if values and rng.random() < 0.5 else f"@g{k}"
+        if write is None:
+            write = bool(values) and rng.random() < 0.5
+        if write:
+            data = pick(values) if rng.random() < 0.5 else 1
+            lines.append(f"write {at} {data} label l{k}")
+            return
+        lines.append(f"%v{k} = read {at} label l{k}")
+        values.append(f"%v{k}")
+
+    def region(depth, values):
+        if depth == 0 or rng.random() < 0.25:
+            if rng.random() < 0.4:
+                action(values)
+            return
+        k = next(count)
+        if values and rng.random() < 0.5:
+            cond = pick(values)
+        else:
+            cond = f"%c{k}"
+            lines.append(f"%c{k} = op c{k}()")
+        lines.extend([f"br {cond} ? t{k} : e{k}", f"block t{k}:"])
+        region(depth - 1, list(values))
+        lines.extend([f"jmp j{k}", f"block e{k}:"])
+        region(depth - 1, list(values))
+        lines.extend([f"jmp j{k}", f"block j{k}:"])
+        if rng.random() < 0.3:
+            action(values)
+
+    values, ends = [], [0]
+    action(values, write=False)
+    for n in reversed(range(rng.choice((1, 2, 2)))):
+        region(rng.choice((1, 1, 2)), values)
+        action(values, write=True if n == 0 else None)
+        ends.append(len(labels) - 1)
+    if len(ends) > 2 and rng.random() < 0.6:
+        spans = list(zip(ends, ends[1:]))  # one edge over each top-level region
+    else:
+        spans = [(0, ends[-1])]
+        if rng.random() < 0.4:
+            spans.append(tuple(sorted(rng.sample(range(len(labels)), 2))))
+    decls = [f"edge {rng.choice(('pu', 'vo', 'xo'))} {labels[a]} -> {labels[b]};"
+             for a, b in spans]
+    # Without a return no cycle passes the source, so it orders itself.
+    end = ["ret"] if rng.random() < 0.5 else ["jmp end", "block end:", "jmp end"]
+    return "\n".join(["func f {", *decls, *lines, *end, "}"]) + "\n"
+
+
+def random_dep_source(rng):
+    """A function whose values flow through loops. Block b0 reads a
+    value and jumps to b1; each bi (0 < i <= n) jumps to b(i+1) or
+    branches to it and another block, and b(n+1) returns, so back edges,
+    self-loops and a pseudo edge occur. A block opens with up to two
+    phis, one arm per in-edge, each a constant or a value whose
+    definition dominates the arm's block, so arms on back edges carry
+    values around loops. Its other instructions are labelled reads from
+    a global or through a value (a dependent address), ops over values,
+    labelled writes of a value or through one, and binds; an instruction
+    uses only values whose definitions dominate it. A few `xo` edges,
+    some scoped to a bind, name the labels."""
+    n = rng.randint(1, 4)
+    succ = {0: [1]}
+    for i in range(1, n + 1):
+        ts = [i + 1]
+        other = rng.randint(1, n + 1)
+        if other not in ts and rng.random() < 0.6:
+            ts.insert(rng.randint(0, 1), other)
+        succ[i] = ts
+    succ[n + 1] = []
+    dom = naive_dominators(list(succ), 0, succ.__getitem__)
+    preds = {i: [f"b{p}" for p in succ for t in succ[p] if t == i] for i in succ}
+    phis = {i: [f"%p{i}_{k}" for k in range(rng.randint(0, 2) if len(preds[i]) > 1 else 0)]
+            for i in succ}
+    values = {}  # block -> the values it defines, phis first
+    body, labels, binds = {}, [], []
+    count = iter(range(1 << 30))
+    pick = lambda: rng.choice(seen[-3:])  # recent values make longer chains
+    for i in succ:
+        seen = [v for d in sorted(dom[i] - {i}) for v in values[d]] + phis[i]
+        values[i], lines = list(phis[i]), []
+        for j in range(rng.randint(1, 3)):
+            k = next(count)
+            kind = "rg" if i == j == 0 else rng.choice(
+                ("rg", "rd", "rd", "op", "wv", "wd", "bind") if seen else ("rg", "bind"))
+            if kind == "rg":
+                lines.append(f"%v{k} = read @g{k} label l{k}")
+            elif kind == "rd":
+                lines.append(f"%v{k} = read *{pick()} label l{k}")
+            elif kind == "op":
+                args = ", ".join(pick() for _ in range(rng.randint(1, 2)))
+                lines.append(f"%v{k} = op f{k}({args})")
+            elif kind == "wv":
+                lines.append(f"write @g{k} {pick()} label l{k}")
+            elif kind == "wd":
+                lines.append(f"write *{pick()} 1 label l{k}")
+            else:
+                binds.append(f"t{k}")
+                lines.append(f"bind t{k}")
+                continue
+            if kind in ("rg", "rd", "op"):
+                seen.append(f"%v{k}")
+                values[i].append(f"%v{k}")
+            if kind != "op":
+                labels.append(f"l{k}")
+        body[i] = lines
+    lines = ["func f {"]
+    for _ in range(rng.randint(1, 3)):
+        scope = f"here({rng.choice(binds)}) " if binds and rng.random() < 0.5 else ""
+        lines.append(f"edge xo {scope}{rng.choice(labels)} -> {rng.choice(labels)};")
+    for i in succ:
+        lines.append(f"block b{i}:")
+        for name in phis[i]:
+            arms = []
+            for p in preds[i]:
+                ok = [v for d in sorted(dom[int(p[1:])]) for v in values[d]]
+                arms.append(f"[{p}: {rng.choice(ok[-2:]) if ok and rng.random() < 0.7 else 0}]")
+            lines.append(f"{name} = phi {', '.join(arms)}")
+        lines += body[i]
+        ts = [f"b{t}" for t in succ[i]]
+        if len(ts) == 2:
+            k = next(count)
+            lines += [f"%c{k} = op c{k}()", f"br %c{k} ? {ts[0]} : {ts[1]}"]
+        else:
+            lines.append(f"jmp {ts[0]}" if ts else "ret")
     return "\n".join(lines + ["}"]) + "\n"
 
 

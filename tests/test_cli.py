@@ -116,6 +116,54 @@ def test_many_paths_without_dependencies_compile(tmp_path, capsys, kind, arch_na
     assert code == 0 and "MISMATCH" not in out
 
 
+def test_check_walks_a_branch_to_one_block_once(tmp_path, capsys):
+    # `br %c ? m : m` makes two edges but one path, so six such branches
+    # leave one path for the xo, within --max-paths 2 for compile and check
+    lines = ["func same {", "  edge xo r -> w;", "  block e:", "    %v = read @x label r"]
+    for i in range(6):
+        lines += [f"    %c{i} = op c{i}()", f"    br %c{i} ? m{i} : m{i}", f"  block m{i}:"]
+    src = tmp_path / "same.rmcir"
+    src.write_text("\n".join(lines + ["    write @y 1 label w", "    ret", "}"]) + "\n")
+    dest = tmp_path / "plan.json"
+    flags = ("--arch", "armv7", "--max-paths", "2")
+    code, _, err = run(capsys, "compile", str(src), *flags, "--out", str(dest))
+    assert code == 0, err
+    code, out, err = run(capsys, "check", str(src), str(dest), *flags)
+    assert (code, out.strip()) == (0, "OK"), err
+
+
+# The barrier that orders u before s also orders s after itself (every
+# cycle through s passes u), so s -> t can ride the data dependency.
+_STORES_THE_READ = """func f {
+  edge xo u -> s;
+  edge xo s -> t;
+  block e:
+    write @c 1 label u
+    %w = read @a label s
+    write @b %w label t
+    ret
+}
+"""
+
+
+def test_a_write_of_the_read_value_rides_its_data_dependency(tmp_path, capsys):
+    src = tmp_path / "stores.rmcir"
+    src.write_text(_STORES_THE_READ)
+    dest = tmp_path / "plan.json"
+    code, _, err = run(capsys, "compile", str(src), "--arch", "armv7", "--out", str(dest))
+    assert code == 0, err
+    (plan,) = json.loads(dest.read_text())
+    assert plan["data_uses"] == [{"bind": "-", "source": "a1", "target": "a2"}]
+    assert len(plan["barriers"]) == 1 and plan["modes"] == []
+    code, out, _ = run(capsys, "check", str(src), str(dest), "--arch", "armv7")
+    assert (code, out.strip()) == (0, "OK")
+    # The same plan for a write of a constant claims a use the code lacks.
+    const = tmp_path / "const.rmcir"
+    const.write_text(_STORES_THE_READ.replace("@b %w", "@b 1"))
+    code, out, _ = run(capsys, "check", str(const), str(dest), "--arch", "armv7")
+    assert code == 4 and out.startswith("UNCUT xo a1->a2 via ")
+
+
 def test_budget_exit_code(tmp_path, capsys):
     dest = tmp_path / "plan.json"
     code, _, err = run(

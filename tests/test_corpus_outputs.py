@@ -17,6 +17,9 @@ problem dump, the checker or the oracle shows here.
 Rewrite the file only when a change to these outputs is meant:
 
     PYTHONPATH=src python tests/test_corpus_outputs.py --write
+
+which prints the "<file> <command> <flags> <arch>" of every digest that
+moved.
 """
 
 import contextlib
@@ -84,9 +87,26 @@ def test_outputs_equal_golden(name):
     assert not wrong and sorted(got) == sorted(want), wrong
 
 
+def moved(old, new):
+    """The "<file> <key>" of every digest that differs between two
+    recordings, those only one of them has included, sorted."""
+    return sorted(f"{name} {key}" for name in old.keys() | new.keys()
+                  for key in old.get(name, {}).keys() | new.get(name, {}).keys()
+                  if old.get(name, {}).get(key) != new.get(name, {}).get(key))
+
+
+def test_moved_lists_changed_added_and_removed_digests():
+    old = {"mp": {"compile default x86": "a", "check default x86": "b"}, "sb": {"k": "c"}}
+    assert moved(old, old) == []
+    new = {"mp": {"compile default x86": "a", "check default x86": "z", "oracle x": "d"}}
+    assert moved(old, new) == ["mp check default x86", "mp oracle x", "sb k"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_corpus_outputs.py --write")
+    before = _golden()
     recs = {name: outputs(name) for name in CORPUS_NAMES}
     GOLDEN.write_text(json.dumps(recs, indent=1, sort_keys=True) + "\n")
     print(f"wrote {sum(map(len, recs.values()))} digests to {GOLDEN}")
+    print("\n".join(moved(before, recs)) or "no digest moved")

@@ -1,9 +1,20 @@
-from rmcfence import arch, constraints, encode, ir
+import collections
+import random
+
+try:
+    from hypothesis import given, settings, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
+from rmcfence import arch, constraints, encode, graph, ir
 from rmcfence.deps import DepAnalysis
-from rmcfence.emit import PlacementPlan
+from rmcfence.emit import DataUse, PlacementPlan
 from rmcfence.verify import PlanChecker
 from conftest import (
-    ARCHES, CORPUS_NAMES, load_corpus, naive_dominators, parse_valid, walk_source,
+    ARCHES, CORPUS_NAMES, load_corpus, naive_dominators, parse_valid, per_path_data,
+    random_dep_source, walk_source,
 )
 
 
@@ -15,8 +26,6 @@ def _setup(text):
 
 
 def _path(cfg, a_src, a_dst):
-    from rmcfence import graph
-
     return graph.simple_paths(cfg, cfg.action_block[a_src], cfg.action_block[a_dst])
 
 
@@ -26,8 +35,7 @@ def test_straight_line_address_dependency():
         "%p = op index(%w) %v = read *%p label t ret }"
     )
     src, dst = cfg.actions["a0"], cfg.actions["a1"]
-    (path,) = _path(cfg, "a0", "a1")
-    assert deps.can_data(None, src, dst, path)
+    assert deps.can_data(None, src, dst)
 
 
 def test_no_dependency_through_unrelated_value():
@@ -36,16 +44,14 @@ def test_no_dependency_through_unrelated_value():
         "%p = op index(%u) %v = read *%p label t ret }"
     )
     src, dst = cfg.actions["a0"], cfg.actions["a2"]
-    for path in _path(cfg, "a0", "a2"):
-        assert not deps.can_data(None, src, dst, path)
+    assert not deps.can_data(None, src, dst)
 
 
 def test_write_data_operand_counts():
     cfg, deps = _setup(
         "func f { block e: %w = read @t label s write @out %w label t ret }"
     )
-    (path,) = _path(cfg, "a0", "a1")
-    assert deps.can_data(None, cfg.actions["a0"], cfg.actions["a1"], path)
+    assert deps.can_data(None, cfg.actions["a0"], cfg.actions["a1"])
 
 
 def test_phi_requires_dependence_on_every_admissible_arm():
@@ -57,8 +63,7 @@ def test_phi_requires_dependence_on_every_admissible_arm():
         "block j: %m = phi [a: %x], [b: 0] %v = read *%m label t ret }"
     )
     src, dst = cfg.actions["a0"], cfg.actions["a1"]
-    for path in _path(cfg, "a0", "a1"):
-        assert not deps.can_data(None, src, dst, path)
+    assert not deps.can_data(None, src, dst)
 
 
 def test_phi_with_all_arms_dependent():
@@ -68,15 +73,15 @@ def test_phi_with_all_arms_dependent():
         "block j: %m = phi [a: %x], [b: %y] %v = read *%m label t ret }"
     )
     src, dst = cfg.actions["a0"], cfg.actions["a1"]
-    for path in _path(cfg, "a0", "a1"):
-        assert deps.can_data(None, src, dst, path)
+    assert deps.can_data(None, src, dst)
 
 
 def test_loop_carried_dependence_is_path_sensitive():
     # The phi's value depends on the previous iteration's load via the
     # latch arm. Regions are built over real edges, so the entry arm is
     # only admissible on the wrap-around path (through return and
-    # re-entry), where the dependence genuinely breaks.
+    # re-entry), where the dependence genuinely breaks. The triple's one
+    # fact holds, and the paths it serves are those with no pseudo edge.
     cfg, deps = _setup(
         "func f { block e: jmp head "
         "block head: %m = phi [e: 0], [latch: %x] "
@@ -90,10 +95,11 @@ def test_loop_carried_dependence_is_path_sensitive():
     wrap = [p for p in paths if cfg.entry in p]
     direct = [p for p in paths if cfg.entry not in p]
     assert wrap and direct
+    assert deps.can_data(None, src, dst)
     for p in direct:
-        assert deps.can_data(None, src, dst, p)
+        assert per_path_data(cfg, None, src, dst, p, deps.value_depends)
     for p in wrap:
-        assert not deps.can_data(None, src, dst, p)
+        assert not per_path_data(cfg, None, src, dst, p, deps.value_depends)
 
 
 def test_widget_lookup_feeds_both_field_reads():
@@ -103,8 +109,7 @@ def test_widget_lookup_feeds_both_field_reads():
     deps = DepAnalysis(cfg)
     lookup = next(a for a in cfg.actions.values() if "lookup" in a.labels)
     for r in (a for a in cfg.actions.values() if "r" in a.labels):
-        for path in _path(cfg, lookup.id, r.id):
-            assert deps.can_data(None, lookup, r, path)
+        assert deps.can_data(None, lookup, r)
 
 
 def test_can_ctrl_existing_on_ringbuf_check():
@@ -269,3 +274,59 @@ def test_shared_analysis_answers_as_a_fresh_one():
                     seen.add((name, scoped, got))
     assert seen == {(n, s, g) for n, s in [("can_data", False), ("can_data", True),
                                            ("can_ctrl", False)] for g in (False, True)}
+
+
+def _per_path_cases(seed):
+    """On one `random_dep_source` program, every (scope, source, target)
+    and every simple path between their blocks: the per-path reference
+    rule must equal "the triple's fact and no pseudo edge on the path",
+    as `DepAnalysis.can_data` and `PlanChecker.xo_path_cut` (given the
+    use, and nothing else) decide it. Returns how often each (pseudo edge
+    on the path, triple fact, reference) case was met."""
+    (func,) = parse_valid(random_dep_source(random.Random(seed)))
+    cfg = ir.normalize(func)
+    deps = DepAnalysis(cfg)
+    binds = [None, *sorted(set(cfg.bind_block.values()))]
+    sources = [a for a in cfg.actions.values() if a.reads_value]
+    targets = [a for a in cfg.actions.values() if a.kind in ("read", "write", "rmw")]
+    plan = PlacementPlan(func.name, "none", 0)
+    plan.data_uses = [DataUse(b or "-", s.id, t.id) for b in binds for s in sources
+                      for t in targets]
+    checker = PlanChecker(cfg, None, plan)
+    cases = collections.Counter()
+    for bind in binds:
+        for s in sources:
+            for t in targets:
+                fact = deps.can_data(bind, s, t)
+                sblk, tblk = cfg.action_block[s.id], cfg.action_block[t.id]
+                try:
+                    paths = graph.simple_paths(cfg, sblk, tblk, excluded=bind, cap=256)
+                except graph.PathExplosion:
+                    continue
+                for path in paths:
+                    pseudo = cfg.entry in path[1:]
+                    ref = per_path_data(cfg, bind, s, t, path, deps.value_depends)
+                    assert ref == (fact and not pseudo), (seed, bind, s.id, t.id, path)
+                    got = checker.xo_path_cut(bind, s, t, path, assume_self=True)
+                    assert per_path_data(cfg, bind, s, t, path, checker.depends) == ref
+                    assert got == ref, (seed, bind, s.id, t.id, path)
+                    cases[pseudo, fact, ref] += 1
+    return cases
+
+
+def test_per_path_cases_reach_every_kind():
+    # The programs give paths through the pseudo edge whose triple holds,
+    # the case the old rule had to decide path by path.
+    cases = collections.Counter()
+    for seed in range(60):
+        cases += _per_path_cases(seed)
+    assert set(cases) == {(False, False, False), (False, True, True), (True, False, False),
+                          (True, True, False)}, cases
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_triple_fact_equals_the_per_path_rule(seed):
+        _per_path_cases(seed)

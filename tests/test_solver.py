@@ -28,7 +28,8 @@ except ImportError:
 from rmcfence import encode, solver, verify
 from conftest import (
     ARCHES, CORPUS_NAMES, analyze, analyze_corpus, load_corpus, naive_optima, naive_satisfies,
-    parse_valid, random_cut_source, random_problem, reference_dominated, walk_source,
+    nested_diamonds_source, parse_valid, random_cut_source, random_problem, reference_dominated,
+    walk_source,
 )
 
 # Search nodes (`Assignment.decisions`) per "<file> <arch> <function>" of the
@@ -396,6 +397,22 @@ if HAVE_HYPOTHESIS:
         # At 0 nothing is decided, so every join's cut counts.
         i = data.draw(st.one_of(st.just(0), st.integers(0, len(p.outputs))))
         _check_bound(p, i, data.draw(st.integers(0, (1 << i) - 1)))
+
+    @given(st.integers(0, 2**32), st.sampled_from(("armv7", "armv8", "power")), st.data())
+    @settings(max_examples=1000, deadline=None)
+    def test_the_cut_bound_never_exceeds_cheapest_completion_on_nested_diamonds(
+            seed, arch_name, data):
+        # Tied cuts: both arms of a diamond cost what one barrier before it
+        # does. A join's cut counts at a node no later than its first
+        # output, so try each such node: there another join may already
+        # have decided outputs.
+        (func,) = parse_valid(nested_diamonds_source(random.Random(seed)))
+        p = analyze(func, arch_name).problem
+        if len(p.outputs) > 12:
+            return
+        bound = solver.bound_data(p)
+        for i in sorted({0, *(bound.support[label][0] for label in bound.joins)}):
+            _check_bound(p, i, data.draw(st.integers(0, (1 << i) - 1)))
 
     @given(st.integers(0, 2**32), st.booleans(), st.booleans())
     @settings(max_examples=300, deadline=None)

@@ -71,6 +71,39 @@ def test_formula_agrees_with_the_checker_on_every_plan():
     assert problems > 200 and subsets > 20000
 
 
+def _uncut_constraints(violations):
+    """The constraint labels of UNCUT lines, once each, in order."""
+    labels = (v[len("UNCUT "):].split(" via ")[0].split(" at ")[0] for v in violations)
+    return list(dict.fromkeys(labels))
+
+
+def test_each_mode_device_fails_the_same_constraints_in_formula_and_checker():
+    # Plans of one device, drawn from the checker's side: acquire on each
+    # action that reads a value, release on each write, where the profile
+    # has the mode. A device the encoder never offers fails here, since the
+    # formula then counts it as absent.
+    plans = 0
+    for name in CORPUS_NAMES:
+        for arch_name in ARCHES:
+            for flags in FLAG_SETS:
+                for a in analyze_corpus(name, arch_name, **flags):
+                    for action in a.cfg.actions.values():
+                        for mode, has in (("acquire", action.reads_value),
+                                          ("release", action.is_write)):
+                            if not has or mode not in a.profile.modes:
+                                continue
+                            plan = emit.PlacementPlan(a.func.name, arch_name, 0)
+                            plan.modes = [emit.ModeUse(mode, action.id)]
+                            want = _uncut_constraints(_check(a, plan))
+                            got = encode.failed_assertions(
+                                a.problem, {encode.OutputVar(mode, (action.id,))})
+                            assert list(dict.fromkeys(got)) == want, (
+                                name, arch_name, flags, a.func.name, mode, action.id)
+                            plans += 1
+    # 168 plans when this test was written
+    assert plans > 150
+
+
 def test_empty_plan_rejected_when_work_is_needed():
     for a in analyze_corpus("mp", "armv7"):
         empty = emit.PlacementPlan(a.func.name, "armv7", 0)
