@@ -220,7 +220,7 @@ def random_cut_source(rng, kinds=("pu", "vo")):
     return "\n".join(lines + ["}"]) + "\n"
 
 
-def nested_diamonds_source(rng):
+def nested_diamonds_source(rng, regions=(1, 2, 2), kinds=("pu", "vo", "xo")):
     """If/else diamonds nested up to two deep between a first labelled
     read and a last labelled write, with more labelled reads and writes
     on some arms and joins. An arm weighs half the edge into its
@@ -228,10 +228,11 @@ def nested_diamonds_source(rng):
     before it costs: the tied cuts of the solver's cut bound. A branch
     may test, and an access may go through or store, a value read
     earlier on every way to it, so xo paths can ride control and data
-    dependencies. Edges of kinds drawn from pu, vo and xo run from the
-    first action to the last (and maybe between two others), or one over
-    each of two top-level regions in a row. The function may end in a
-    loop instead of returning."""
+    dependencies. Edges of kinds drawn from `kinds` run from the first
+    action to the last (and maybe between two others), or one over each
+    of two top-level regions in a row; the number of those regions is
+    drawn from `regions`. The function may end in a loop instead of
+    returning."""
     lines, labels, count = ["block entry:"], [], iter(range(1 << 30))
 
     def pick(values):  # the first read half the time: dependency chains from it
@@ -271,7 +272,7 @@ def nested_diamonds_source(rng):
 
     values, ends = [], [0]
     action(values, write=False)
-    for n in reversed(range(rng.choice((1, 2, 2)))):
+    for n in reversed(range(rng.choice(regions))):
         region(rng.choice((1, 1, 2)), values)
         action(values, write=True if n == 0 else None)
         ends.append(len(labels) - 1)
@@ -281,7 +282,7 @@ def nested_diamonds_source(rng):
         spans = [(0, ends[-1])]
         if rng.random() < 0.4:
             spans.append(tuple(sorted(rng.sample(range(len(labels)), 2))))
-    decls = [f"edge {rng.choice(('pu', 'vo', 'xo'))} {labels[a]} -> {labels[b]};"
+    decls = [f"edge {rng.choice(kinds)} {labels[a]} -> {labels[b]};"
              for a, b in spans]
     # Without a return no cycle passes the source, so it orders itself.
     end = ["ret"] if rng.random() < 0.5 else ["jmp end", "block end:", "jmp end"]

@@ -76,12 +76,29 @@ def test_phi_with_all_arms_dependent():
     assert deps.can_data(None, src, dst)
 
 
+def _encoded_uses(cfg, deps, bind, src, dst, paths):
+    """Which of `paths` the encoder lets the triple's data dependency cut:
+    those whose xcut_path definition names the use_data output."""
+    profile = arch.builtin_profile("armv7")
+    costs, _ = arch.load_costs(profile)
+    enc = encode.Encoder(cfg, [], [], deps, profile, costs, encode.EncodeOptions(max_paths=256))
+    enc._xcut(bind, src.id, dst.id)
+    use = ("out", encode.OutputVar("use_data", (enc._bstr(bind), src.id, dst.id)))
+
+    def mentions(expr):
+        return expr == use or expr[0] in ("and", "or") and any(map(mentions, expr[1]))
+
+    name = f"xcut_path({enc._bstr(bind)},{src.id},{dst.id},"
+    return {p: mentions(enc.defs[f"{name}{enc._path_ids[p]})"]) for p in paths}
+
+
 def test_loop_carried_dependence_is_path_sensitive():
     # The phi's value depends on the previous iteration's load via the
     # latch arm. Regions are built over real edges, so the entry arm is
     # only admissible on the wrap-around path (through return and
     # re-entry), where the dependence genuinely breaks. The triple's one
-    # fact holds, and the paths it serves are those with no pseudo edge.
+    # fact holds, and the paths it serves, in the reference and in the
+    # encoder's per-path cuts, are those with no pseudo edge.
     cfg, deps = _setup(
         "func f { block e: jmp head "
         "block head: %m = phi [e: 0], [latch: %x] "
@@ -96,10 +113,13 @@ def test_loop_carried_dependence_is_path_sensitive():
     direct = [p for p in paths if cfg.entry not in p]
     assert wrap and direct
     assert deps.can_data(None, src, dst)
+    encoded = _encoded_uses(cfg, deps, None, src, dst, paths)
     for p in direct:
         assert per_path_data(cfg, None, src, dst, p, deps.value_depends)
+        assert encoded[p]
     for p in wrap:
         assert not per_path_data(cfg, None, src, dst, p, deps.value_depends)
+        assert not encoded[p]
 
 
 def test_widget_lookup_feeds_both_field_reads():
@@ -280,7 +300,8 @@ def _per_path_cases(seed):
     """On one `random_dep_source` program, every (scope, source, target)
     and every simple path between their blocks: the per-path reference
     rule must equal "the triple's fact and no pseudo edge on the path",
-    as `DepAnalysis.can_data` and `PlanChecker.xo_path_cut` (given the
+    as `DepAnalysis.can_data`, the encoder's per-path cut (whether it
+    names the use_data output) and `PlanChecker.xo_path_cut` (given the
     use, and nothing else) decide it. Returns how often each (pseudo edge
     on the path, triple fact, reference) case was met."""
     (func,) = parse_valid(random_dep_source(random.Random(seed)))
@@ -303,10 +324,15 @@ def _per_path_cases(seed):
                     paths = graph.simple_paths(cfg, sblk, tblk, excluded=bind, cap=256)
                 except graph.PathExplosion:
                     continue
+                try:
+                    encoded = _encoded_uses(cfg, deps, bind, s, t, paths)
+                except graph.PathExplosion:  # the source's own self-order paths
+                    encoded = None
                 for path in paths:
                     pseudo = cfg.entry in path[1:]
                     ref = per_path_data(cfg, bind, s, t, path, deps.value_depends)
                     assert ref == (fact and not pseudo), (seed, bind, s.id, t.id, path)
+                    assert encoded is None or encoded[path] == ref, (seed, bind, s.id, t.id, path)
                     got = checker.xo_path_cut(bind, s, t, path, assume_self=True)
                     assert per_path_data(cfg, bind, s, t, path, checker.depends) == ref
                     assert got == ref, (seed, bind, s.id, t.id, path)
