@@ -5,9 +5,10 @@ source), check (validate a plan against its source), explain (show the
 closed constraints, weights, and cost breakdown), oracle (cross-check
 the optimizer against exhaustive search and the greedy baseline).
 
-Exit codes: 0 success/valid, 1 invalid input or usage error, 2 path
-explosion, 3 budget exhausted, 4 invalid plan / oracle mismatch, 5
-internal error.
+Exit codes: 0 success/valid, 1 invalid input or usage error, 3 budget
+exhausted, 4 invalid plan / oracle mismatch, 5 internal error. 2 is no
+longer produced: it meant path explosion, and every constraint is now
+cut by reachability.
 """
 
 import functools
@@ -23,7 +24,6 @@ from .deps import DepAnalysis
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_PATHS = 2
 EXIT_BUDGET = 3
 EXIT_INVALID = 4
 EXIT_INTERNAL = 5
@@ -56,9 +56,6 @@ _COMMON = (
     _option("--no-ctrl-deps", takes_value=False, help="never rely on control dependencies"),
     _option("--synth-deps", takes_value=False,
             help="allow synthesizing new control dependencies"),
-    _option("--max-paths", at_least=1, default=graph.DEFAULT_MAX_PATHS,
-            help="simple-path limit per xo constraint (exit 2 beyond it); pu and vo"
-            " are cut by reachability and have no limit"),
     _option("--loop-factor", at_least=1, help="per-loop-level weight multiplier"),
 )
 _BUDGET = _option("--budget-ms", at_least=0)
@@ -91,8 +88,9 @@ def build_parser():
     import argparse  # only help and usage errors need it; see parse_args
 
     class ArgumentParser(argparse.ArgumentParser):
-        """Usage errors exit EXIT_INPUT, not argparse's 2, which means
-        path explosion here. Subparsers are built from the same class."""
+        """Usage errors exit EXIT_INPUT, not argparse's 2, which meant
+        path explosion here and is left unused. Subparsers are built from
+        the same class."""
 
         def error(self, message):
             self.print_usage(sys.stderr)
@@ -209,7 +207,6 @@ def _load_inputs(args):
         data_deps=not args.no_data_deps,
         ctrl_deps=not args.no_ctrl_deps,
         synth_deps=args.synth_deps,
-        max_paths=args.max_paths,
     )
 
     units = []
@@ -312,9 +309,7 @@ def cmd_check(args):
             print(f"error: plan for {f.name}: {unknown[0]}", file=sys.stderr)
             return EXIT_INPUT
         violations.extend(verify.check_claims(cfg, costs, plan))
-        violations.extend(
-            verify.check_plan(cfg, closed, boundaries, profile, plan, args.max_paths)
-        )
+        violations.extend(verify.check_plan(cfg, closed, boundaries, profile, plan))
     defined = {f.name for f, _, _, _ in units}
     violations += [f"plan for function {name}, which the source does not define"
                    for name in plans if name not in defined]
@@ -431,9 +426,6 @@ def main(argv=None):
     except (arch.CostConfigError, OSError, emit.PlanFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except graph.PathExplosion as exc:
-        print(f"error: {exc} (raise --max-paths?)", file=sys.stderr)
-        return EXIT_PATHS
     except Exception as exc:  # a fault of rmcfence, not of its input
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -3,13 +3,14 @@
 can_data is one fact per (scope, source, target), over one region: the
 blocks reachable from the source's block and reaching the target's over
 real edges, not entering the bind block (a detour through function exit
-ends the invocation and cannot carry an SSA value). Every path of real
-edges that avoids the bind block lies in that region. A path through a
-pseudo edge carries no dependence: it re-enters at the entry and reaches
-the target's block without passing the source's, every value the target
-uses is defined on that stretch (an op's arguments, or the phi arm from
-the previous block), each step strictly earlier by SSA dominance, and so
-the chain ends at a definition other than the source's read.
+ends the invocation and cannot carry an SSA value). Every walk of real
+edges that avoids the bind block lies in that region. A walk whose
+stretch after its last visit of the source's block crosses a pseudo
+edge carries no dependence: that stretch re-enters at the entry and
+reaches the target's block without passing the source's, every value
+the target uses is defined on it (an op's arguments, or the phi arm
+from the previous block), each step strictly earlier by SSA dominance,
+and so the chain ends at a definition other than the source's read.
 """
 
 from .ir import Action, Branch, Phi, PureOp, dominance
@@ -88,8 +89,9 @@ class DepAnalysis:
 
     def can_data(self, bind, src_action, dst_action):
         """True iff src's loaded value reaches dst's address (reads) or
-        address/data (writes, rmws) on every path of real edges between
-        their blocks that avoids `bind`; no other path carries it."""
+        address/data (writes, rmws) on every walk of real edges between
+        their blocks that avoids `bind`; no walk that crosses a pseudo
+        edge after its last visit of src's block carries it."""
         if not src_action.reads_value:
             return False
         sblk, tblk = self.cfg.action_block[src_action.id], self.cfg.action_block[dst_action.id]

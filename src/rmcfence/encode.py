@@ -8,20 +8,29 @@ definitions may be cyclic; evaluation takes the greatest fixpoint.
 
 A pu or vo edge s->t holds when every s->t walk that avoids the binding
 block crosses a barrier strong enough for it (or, for vo, t releases).
-That is reachability, not a path list: `name@v` says every walk from s
-to block v crosses one, defined as the AND over v's in-edges (u, v) of
-(barrier on (u, v) OR name@u), with s itself False. Only blocks on some
-s->t walk get a definition, and edges out of t are left out, so every
-barrier variable sits on an edge of some s->t walk. An xo edge is cut
-path by path (`xcut_path`); its self-ordering requirement makes those
-definitions cyclic too. (A walk form gives the same plans, but it
-splits a path's barriers into one-output rows and the search takes more
-nodes.) A data-dependency use is one output per (scope, source,
-target): `deps.can_data` decides the triple once, and the use is
-offered on every path with no pseudo edge. A path is
-cut by an exec-capable barrier, and the capability levels of `arch`
-(push > vis > exec) make every visibility barrier one, so the vo half
-of the xo rule adds only the target's release.
+That is reachability, not a path list (`Encoder._walk_cut`): `name@v`
+says every walk from s to block v crosses one, defined as the AND over
+v's in-edges (u, v) of (barrier on (u, v) OR name@u), with s itself
+False. Only blocks on some s->t walk take part, and edges out of t are
+left out, so every barrier variable sits on an edge of some s->t walk.
+A block with one in-edge is inlined into the blocks after it, so a run
+of such blocks is one OR row, as a path's barriers were. An xo edge is
+the same cut with another per-edge term: an exec-capable barrier (the
+capability levels of `arch`, push > vis > exec, make every visibility
+barrier one), or a usable ctrl use with s ordered after itself, which
+makes the definitions cyclic; t's release or s's acquire cuts it all.
+
+A data-dependency use is one output per (scope, source, target), and
+`deps.can_data` decides the triple once. It orders the source's last
+read before t with t, in one call: no walk carries it whose stretch
+after its last visit of s crosses a pseudo edge (`deps` docstring), and
+a walk that passes t and re-enters reaches a later t that it does not
+order. A walk cut starts afresh at every visit of s, so the use, with s
+ordered after itself, orders exactly the walks of real edges: xcut =
+release(t) OR acquire(s) OR ((use AND xcut(b,s,s) OR Cut_real) AND
+Cut_crossing). Cut_crossing is the same builder over the CFG taken
+twice: block v before the crossing, on real edges, where a walk may
+pass t, and v' after it, on all edges.
 
 Only what a plan can change is encoded. On a profile where visibility
 and execution order are free (x86), every vo, xo and boundary
@@ -81,8 +90,8 @@ class OutputVar(namedtuple("OutputVar", "kind detail")):
         return f"{self.kind}[{self.detail[0]}]"
 
 
-EncodeOptions = namedtuple("EncodeOptions", "data_deps ctrl_deps synth_deps max_paths",
-                           defaults=(True, True, False, graph.DEFAULT_MAX_PATHS))
+EncodeOptions = namedtuple("EncodeOptions", "data_deps ctrl_deps synth_deps",
+                           defaults=(True, True, False))
 
 
 class Problem:
@@ -152,31 +161,13 @@ class Encoder:
         self.asserts = []
         self.vars = set()
         self._barrier_terms = {}  # (kind id, src, dst) -> its ("out", v) term
-        self._path_ids = {}
-        self._building = set()
-        self._paths_memo = {}
+        self._building = set()  # the xcut definitions being built
+        self._graphs = {}  # (bind, walks) -> successor lists, see _blocks_cut
 
     # -- small helpers ------------------------------------------------------
 
     def _bstr(self, bind):
         return bind if bind is not None else "-"
-
-    def _pid(self, path):
-        pid = self._path_ids.get(path)
-        if pid is None:
-            pid = f"p{len(self._path_ids)}"
-            self._path_ids[path] = pid
-        return pid
-
-    def _paths_between(self, bind, s, t):
-        sblk = self.cfg.action_block[s]
-        tblk = self.cfg.action_block[t]
-        key = (bind, sblk, tblk)
-        got = self._paths_memo.get(key)
-        if got is None:
-            got = graph.simple_paths(self.cfg, sblk, tblk, excluded=bind, cap=self.opt.max_paths)
-            self._paths_memo[key] = got
-        return got
 
     def _barrier(self, kind_id, edge):
         key = (kind_id, edge[0], edge[1])
@@ -201,150 +192,169 @@ class Encoder:
             return self._mode_var("release", action.id)
         return FALSE
 
-    def _barriers_on(self, path_edges, kinds):
-        return _or([self._barrier(k.id, e) for e in path_edges for k in kinds])
-
     def _define(self, name, expr):
         self.defs[name] = expr
         return ("def", name)
 
     # -- per-kind encodings -------------------------------------------------
 
-    def _live_blocks(self, bind, sblk, tblk):
-        """Blocks on some sblk->tblk walk that avoids `bind`: reachable
-        from sblk without leaving tblk, and reaching tblk without passing
-        through sblk (each endpoint is expanded only as the start)."""
+    def _walk_cut(self, name, start, stop, succ, term):
+        """Every walk from node `start` to node `stop` crosses an edge
+        whose `term(u, v)` holds, for u and v the blocks of its nodes.
 
-        def grow(start, stop, nbr):
-            seen, todo = {start}, [start]
-            while todo:
-                x = todo.pop()
-                if x == stop and x != start:
-                    continue
-                for y in nbr[x]:
-                    if y != bind and y not in seen:
-                        seen.add(y)
-                        todo.append(y)
-            return seen
-
-        return grow(sblk, tblk, self.cfg.succ) & grow(tblk, sblk, self.cfg.pred)
-
-    def _walk_cut(self, name, level, bind, s, t):
-        """Every s->t walk avoiding `bind` crosses a barrier cutting `level`.
-
-        U(v), defined as `name@v` on the live blocks, says that every
-        walk from the source to v crosses one: the AND over in-edges
-        (u, v) of (barrier on (u, v) OR U(u)), with U(source) = False and
-        no edge out of the target. Returns the in-edge conjunction at the
-        target. The formula's greatest fixpoint makes it exact on cycles.
+        `succ` maps a node to the nodes after it; a node is a block id,
+        primed in the second copy of the CFG taken twice. A walk that
+        comes back to the start's block is the walk from there, and edges
+        out of the stop are left out. U(v), "every walk from the start to
+        v crosses one", is the AND over v's in-edges (u, v) on some
+        start->stop walk of (term(u, v) OR U(u)), with U(start) False. A
+        node with one in-edge is inlined into the nodes after it, so a run
+        of such nodes is one OR row; every other node is the definition
+        `name@v`. Returns the in-edge conjunction at the stop. The
+        formula's greatest fixpoint makes it exact on cycles.
         """
-        sblk = self.cfg.action_block[s]
-        tblk = self.cfg.action_block[t]
+        again = (start, start + "'")
+        ahead, ins, todo = {start}, {}, [start]
+        while todo:
+            u = todo.pop()
+            if u == stop and u != start:
+                continue
+            for v in succ[u]:
+                if v in again and v != stop:
+                    continue
+                ins.setdefault(v, {})[u] = None
+                if v not in ahead:
+                    ahead.add(v)
+                    todo.append(v)
+        live, todo = {stop}, [stop]
+        while todo:
+            for u in ins.get(todo.pop(), ()):
+                if u not in live:
+                    live.add(u)
+                    if u != start:
+                        todo.append(u)
+        edge = lambda u, v: term(u.rstrip("'"), v.rstrip("'"))
+        cut = {start: FALSE}  # node -> the expr of U(node)
+        joins = []
+        for v in sorted(live - {start, stop}):
+            chain = []
+            while v not in cut:
+                before = [u for u in ins[v] if u in live]
+                if len(before) > 1:
+                    cut[v] = ("def", f"{name}@{v}")
+                    joins.append((v, before))
+                    break
+                chain.append((before[0], v))
+                v = before[0]
+            for u, v in reversed(chain):
+                cut[v] = _or([edge(u, v), cut[u]])
+        in_cut = lambda v, before: _and([_or([edge(u, v), cut[u]]) for u in before])
+        for v, before in joins:
+            self._define(f"{name}@{v}", in_cut(v, before))
+        return in_cut(stop, [u for u in ins.get(stop, ()) if u in live])
+
+    def _blocks_cut(self, name, bind, s, t, term, walks="all"):
+        """Every walk from s's block to t's that avoids `bind` crosses an
+        edge whose `term` holds: every walk, every walk of real edges
+        ("real"), or every walk that crosses a pseudo edge ("crossing").
+        The last runs over the CFG taken twice: block v before the
+        crossing, on real edges, where a walk may pass t, and v' after
+        it, on all edges."""
+        sblk, tblk = self.cfg.action_block[s], self.cfg.action_block[t]
         if bind in (sblk, tblk):
             return TRUE
-        live = self._live_blocks(bind, sblk, tblk)
+        graph = self._graphs.get((bind, walks))
+        if graph is None:
+            keep = lambda vs: [v for v in vs if v != bind]
+            real, succ = self.cfg.real_succ, self.cfg.succ
+            graph = {u: keep(real[u] if walks == "real" else succ[u]) for u in succ}
+            if walks == "crossing":  # an exit's edge leads into the second copy
+                for u in succ:
+                    graph[u + "'"] = [v + "'" for v in graph[u]]
+                    graph[u] = keep(real[u]) or graph[u + "'"]
+            self._graphs[(bind, walks)] = graph
+        return self._walk_cut(name, sblk, tblk + "'" if walks == "crossing" else tblk, graph, term)
+
+    def _cut_by(self, level):
+        """The per-edge term of the barriers cutting `level`."""
         kinds = self.profile.kinds_cutting(level)
-
-        def in_cut(v):
-            conj = []
-            for u in sorted(set(self.cfg.pred[v])):
-                if u == sblk:
-                    before = FALSE
-                elif u == tblk or u not in live:
-                    continue
-                else:
-                    before = ("def", f"{name}@{u}")
-                conj.append(_or([self._barriers_on([(u, v)], kinds), before]))
-            return _and(conj)
-
-        for v in sorted(live - {sblk, tblk}):
-            self._define(f"{name}@{v}", in_cut(v))
-        return in_cut(tblk)
+        return lambda u, v: _or([self._barrier(k.id, (u, v)) for k in kinds])
 
     def _pcut(self, edge):
         name = f"pcut({self._bstr(edge.bind)},{edge.src},{edge.dst})"
         if name not in self.defs:
-            self._define(name, self._walk_cut(name, PUSH, edge.bind, edge.src, edge.dst))
+            self._define(name, self._blocks_cut(name, edge.bind, edge.src, edge.dst,
+                                                self._cut_by(PUSH)))
         return ("def", name)
 
     def _vcut(self, edge):
         name = f"vcut({self._bstr(edge.bind)},{edge.src},{edge.dst})"
         if name not in self.defs:
-            body = _or(
-                [
-                    self._walk_cut(name, VIS, edge.bind, edge.src, edge.dst),
-                    self._release_term(self.cfg.actions[edge.dst]),
-                ]
-            )
-            self._define(name, body)
+            cut = self._blocks_cut(name, edge.bind, edge.src, edge.dst, self._cut_by(VIS))
+            self._define(name, _or([cut, self._release_term(self.cfg.actions[edge.dst])]))
         return ("def", name)
 
-    def _ctrl_path(self, s_action, path):
-        name = f"ctrl_path({s_action.id},{self._pid(path)})"
-        if name not in self.defs:
-            terms = []
-            for e in zip(path, path[1:]):
-                if self.deps.can_ctrl(s_action, e, synth=False):
-                    v = OutputVar("use_ctrl", (s_action.id, e[0], e[1], "existing"))
-                    self.vars.add(v)
-                    terms.append(("out", v))
-                elif self.opt.synth_deps and self.deps.can_ctrl(s_action, e, synth=True):
-                    v = OutputVar("use_ctrl", (s_action.id, e[0], e[1], "synth"))
-                    self.vars.add(v)
-                    terms.append(("out", v))
-            self._define(name, _or(terms))
-        return ("def", name)
+    def _ctrl_uses(self, s_action, e):
+        """The ctrl use on s_action's value at edge e the code can carry,
+        existing or, with --synth-deps, synthesized; FALSE if none."""
+        if self.deps.can_ctrl(s_action, e, synth=False):
+            mode = "existing"
+        elif self.opt.synth_deps and self.deps.can_ctrl(s_action, e, synth=True):
+            mode = "synth"
+        else:
+            return FALSE
+        v = OutputVar("use_ctrl", (s_action.id, e[0], e[1], mode))
+        self.vars.add(v)
+        return ("out", v)
 
     def _ctrl_self(self, bind, s_action):
-        name = f"ctrl({self._bstr(bind)},{s_action.id},{s_action.id})"
+        s = s_action.id
+        name = f"ctrl({self._bstr(bind)},{s},{s})"
         if name not in self.defs:
-            conj = [
-                self._ctrl_path(s_action, p)
-                for p in self._paths_between(bind, s_action.id, s_action.id)
-            ]
-            self._define(name, _and(conj))
+            uses = lambda u, v: self._ctrl_uses(s_action, (u, v))
+            self._define(name, self._blocks_cut(name, bind, s, s, uses))
         return ("def", name)
 
     def _xcut(self, bind, s, t):
+        """Every s->t walk avoiding `bind` is ordered (see the module
+        docstring); builds xcut(b,s,s) and ctrl(b,s,s) when a use needs
+        s ordered after itself."""
         name = f"xcut({self._bstr(bind)},{s},{t})"
         if name in self.defs or name in self._building:
             return ("def", name)
         self._building.add(name)
         s_action = self.cfg.actions[s]
         t_action = self.cfg.actions[t]
-        data = self.opt.data_deps and self.deps.can_data(bind, s_action, t_action)
-        use = OutputVar("use_data", (self._bstr(bind), s, t)) if data else None
-        conj = [self._xcut_path(bind, s_action, t_action, path, use)
-                for path in self._paths_between(bind, s, t)]
-        self._define(name, _and(conj))
+        # every vis-capable kind is exec-capable, so the barrier half of
+        # the vo rule is already among these
+        barriers = self._cut_by(EXEC_FROM_READ if s_action.reads_value else EXEC)
+        term = barriers
+        if self.opt.ctrl_deps and t_action.is_write and s_action.reads_value:
+            side = None  # ctrl(b,s,s) OR xcut(b,s,s), built on the first ctrl use
+
+            def term(u, v):
+                nonlocal side
+                uses = self._ctrl_uses(s_action, (u, v))
+                if uses == FALSE:
+                    return barriers(u, v)
+                if side is None:
+                    side = _or([self._ctrl_self(bind, s_action), self._xcut(bind, s, s)])
+                return _or([barriers(u, v), _and([uses, side])])
+
+        if self.opt.data_deps and self.deps.can_data(bind, s_action, t_action):
+            real = self._blocks_cut(f"{name}.real", bind, s, t, term, "real")
+            if real != TRUE:
+                use = OutputVar("use_data", (self._bstr(bind), s, t))
+                self.vars.add(use)
+                real = _or([_and([("out", use), self._xcut(bind, s, s)]), real])
+            cut = _and([real, self._blocks_cut(f"{name}.cross", bind, s, t, term, "crossing")])
+        else:
+            cut = self._blocks_cut(name, bind, s, t, term)
+        if cut != TRUE:
+            cut = _or([self._release_term(t_action), cut, self._acquire_term(s_action)])
+        self._define(name, cut)
         self._building.discard(name)
         return ("def", name)
-
-    def _xcut_path(self, bind, s_action, t_action, path, use):
-        """One path's cut; `use` is the triple's use_data output or None."""
-        name = f"xcut_path({self._bstr(bind)},{s_action.id},{t_action.id},{self._pid(path)})"
-        if name in self.defs:
-            return ("def", name)
-        edges_ = list(zip(path, path[1:]))
-        exec_kinds = self.profile.kinds_cutting(EXEC_FROM_READ if s_action.reads_value else EXEC)
-        # every vis-capable kind is exec-capable, so the barrier half of
-        # the vo rule is already among exec_kinds
-        disj = [
-            self._release_term(t_action),
-            self._barriers_on(edges_, exec_kinds),
-            self._acquire_term(s_action),
-        ]
-        self_ref = lambda: self._xcut(bind, s_action.id, s_action.id)
-        if self.opt.ctrl_deps and t_action.is_write and s_action.reads_value:
-            cp = self._ctrl_path(s_action, path)
-            if self.defs[cp[1]] != FALSE:
-                side = _or([self._ctrl_self(bind, s_action), self_ref()])
-                disj.append(_and([cp, side]))
-        # the pseudo edges are the edges into the entry; no dependence rides one
-        if use is not None and self.cfg.entry not in path[1:]:
-            self.vars.add(use)
-            disj.append(_and([("out", use), self_ref()]))
-        return self._define(name, _or(disj))
 
     # -- boundaries ---------------------------------------------------------
 
@@ -364,7 +374,7 @@ class Encoder:
                 reads = bc.direction == "post" and action.reads_value
                 kinds = self.profile.kinds_cutting(EXEC_FROM_READ if reads else EXEC)
                 extra = self._acquire_term(action) if reads else FALSE
-            conj.append(_or([self._barriers_on([e], kinds), extra]))
+            conj.append(_or([self._barrier(k.id, e) for k in kinds] + [extra]))
         return _and(conj)
 
     # -- driver -------------------------------------------------------------

@@ -139,7 +139,9 @@ def simple_paths(cfg, src, dst, excluded=None, cap=DEFAULT_MAX_PATHS):
 
     src == dst yields the simple cycles through that block (endpoints
     repeated). Lexicographic by block-id sequence. Raises PathExplosion
-    past `cap`.
+    past `cap`. The encoder and the checker cut walks and never call it:
+    it is the tests' per-path reference, and the traced benchmark wraps it
+    by name.
     """
     if src == excluded or dst == excluded:
         return []

@@ -2,17 +2,22 @@
 
 check_plan re-derives everything from scratch — its own graph searches,
 its own dependence walk, direct evaluation of the cut rules — and shares
-one conclusion with the encoder: no data dependency rides a pseudo edge
-(`deps` docstring;
-tests/test_deps.py::test_triple_fact_equals_the_per_path_rule checks it
-against a per-path reference). A pu or vo edge is checked by a
-breadth-first search for a path with no strong-enough barrier, reported
-as the witness; an xo edge is checked path by path. A dependency counts
-only where the code can carry it: a data one, decided once per (scope,
-source, target), on a path with no pseudo edge; an existing control one
-at a branch on the source's value, a synthesized one at a block the
-source's block strictly dominates. check_claims compares what a plan
-states about itself with the function, `emit.edge_anchor` and
+one conclusion with the encoder: no data dependency rides a walk that
+crosses a pseudo edge after its last visit of the source (`deps`
+docstring; tests/test_deps.py checks the triple fact against a per-path
+reference). Each constraint is one breadth-first search for a walk that
+nothing on it orders, reported as the witness; for an xo edge whose data
+use counts, over (block, crossed a pseudo edge) states, where a walk of
+real edges is served and passes the target, and only a crossing walk
+that reaches it is a witness. A dependency counts only where the code
+can carry it: a data one, decided once per (scope, source, target); an
+existing control one at a branch on the source's value, a synthesized
+one at a block the source's block strictly dominates. Either needs the
+source ordered after itself: the same search from its block back to it
+finds no witness when the answer is taken as yes (the greatest fixpoint
+of the encoder's cyclic definitions), or, for a control one, no cycle
+through it avoids every usable control edge. check_claims compares what
+a plan states about itself with the function, `emit.edge_anchor` and
 `plan_cost`, the encoder's cost rule restated here: the edges, actions
 and blocks it names, its barrier anchors and its cost. brute_min is the
 exhaustive optimization oracle for small problems; greedy is the
@@ -36,10 +41,9 @@ class CapExceeded(Exception):
 
 
 class PlanChecker:
-    def __init__(self, cfg, profile, plan, path_cap=graph.DEFAULT_MAX_PATHS):
+    def __init__(self, cfg, profile, plan):
         self.cfg = cfg
         self.profile = profile
-        self.cap = path_cap
         self.levels = {}  # (src, dst) -> the strongest capability level placed on it
         for b in plan.barriers:
             e = (b.src, b.dst)
@@ -55,34 +59,6 @@ class PlanChecker:
         self._dominates = None
         self._self_memo = {}
         self._data_memo = {}
-
-    # -- independent path walk (depth-first; cycles when a == b) --
-
-    def paths(self, a, b, excluded=None):
-        if a == excluded or b == excluded:
-            return []
-        found = []
-        trail, on_trail = [a], {a}
-        # one iterator per trail block, each successor once (`br %c ? x : x`)
-        succ = lambda x: iter(dict.fromkeys(self.cfg.succ[x]))
-        todo = [succ(a)]
-        while todo:
-            for nxt in todo[-1]:
-                if nxt == excluded:
-                    continue
-                if nxt == b:
-                    found.append(tuple(trail) + (nxt,))
-                    if len(found) > self.cap:
-                        raise graph.PathExplosion(a, b, self.cap)
-                elif nxt not in on_trail:
-                    trail.append(nxt)
-                    on_trail.add(nxt)
-                    todo.append(succ(nxt))
-                    break
-            else:
-                todo.pop()
-                on_trail.discard(trail.pop())
-        return found
 
     # -- independent dependence walk (coinductive: on-chain counts as yes) --
 
@@ -150,28 +126,32 @@ class PlanChecker:
     def uncut_path(self, a, b, excluded, level):
         """A path a->b avoiding `excluded` with no barrier cutting `level`
         on it, or None."""
-        return _uncut_path(self.cfg.succ, a, b, excluded, lambda e: self._level(e) >= level)
+        return _uncut_walk(self.cfg, a, b, excluded, lambda e: self._level(e) >= level)
 
-    def xo_path_cut(self, bind, s_action, t_action, path, assume_self=False):
+    def uncut_xo(self, bind, s_action, t_action, assume_self=False):
+        """A walk from s's block to t's avoiding `bind` that nothing
+        orders s before t on, or None. t's release or s's acquire orders
+        every walk; an exec-capable barrier or a usable ctrl use orders
+        the walks that cross it; a usable data use orders the walks of
+        real edges. Uses need s ordered after itself, taken as given with
+        `assume_self`."""
         reads = s_action.reads_value
+        if self.vo_released(t_action) or reads and ("acquire", s_action.id) in self.modes:
+            return None
         level = EXEC_FROM_READ if reads else EXEC  # below VIS: cuts what vo's barriers cut
-        if self.vo_released(t_action) or any(self._level(e) >= level for e in zip(path, path[1:])):
-            return True
-        if not reads:
-            return False
-        if ("acquire", s_action.id) in self.modes:
-            return True
-        if t_action.is_write:
-            for e in zip(path, path[1:]):
-                if self._ctrl_dep(s_action, e):
-                    if assume_self or self._self_ordered(bind, s_action, allow_ctrl=True):
-                        return True
-        key = (bind if bind is not None else "-", s_action.id, t_action.id)
-        if (key in self.data_uses and self.cfg.entry not in path[1:]
-                and self._data_dep(bind, s_action, t_action)):
-            if assume_self or self._self_ordered(bind, s_action, allow_ctrl=False):
+        ctrl = reads and t_action.is_write
+
+        def cut(e):
+            if self._level(e) >= level:
                 return True
-        return False
+            return ctrl and self._ctrl_dep(s_action, e) and (
+                assume_self or self._self_ordered(bind, s_action, allow_ctrl=True))
+
+        key = (bind if bind is not None else "-", s_action.id, t_action.id)
+        served = (reads and key in self.data_uses and self._data_dep(bind, s_action, t_action)
+                  and (assume_self or self._self_ordered(bind, s_action, allow_ctrl=False)))
+        sblk, tblk = self.cfg.action_block[s_action.id], self.cfg.action_block[t_action.id]
+        return _uncut_walk(self.cfg, sblk, tblk, bind, cut, served)
 
     def _ctrl_dep(self, s_action, e):
         """Does the plan use a control dependency on s_action's value at
@@ -212,50 +192,52 @@ class PlanChecker:
     def _self_ordered(self, bind, s_action, allow_ctrl):
         """xcut(b,s,s) — or, for the ctrl route, ctrl(b,s,s): no cycle
         through s avoids every usable ctrl edge. The xo route is
-        coinductive: a cycle may justify its own ordering, so evaluate the
-        cycle paths assuming the answer is yes and accept if that holds."""
+        coinductive: a cycle may justify its own ordering, so search the
+        cycles assuming the answer is yes and accept if that holds."""
         sblk = self.cfg.action_block[s_action.id]
         key = (bind, s_action.id, allow_ctrl)
         hit = self._self_memo.get(key)
-        if hit is not None:
-            return hit
-        if allow_ctrl and _uncut_path(
-            self.cfg.succ, sblk, sblk, bind, lambda e: self._ctrl_dep(s_action, e)
-        ) is None:
-            self._self_memo[key] = True
-            return True
-        ok = all(
-            self.xo_path_cut(bind, s_action, s_action, p, assume_self=True)
-            for p in self.paths(sblk, sblk, excluded=bind)
-        )
-        self._self_memo[key] = ok
-        return ok
+        if hit is None:
+            by_ctrl = allow_ctrl and _uncut_walk(
+                self.cfg, sblk, sblk, bind, lambda e: self._ctrl_dep(s_action, e)) is None
+            hit = self._self_memo[key] = by_ctrl or self.uncut_xo(
+                bind, s_action, s_action, assume_self=True) is None
+        return hit
 
 
-def _uncut_path(succ, a, b, excluded, cut):
-    """Breadth-first search for a shortest a->b path avoiding `excluded`
-    on which no edge satisfies `cut`, or None. The path is simple; when
-    a == b it is a cycle through a. Every a->b path is cut exactly when
-    this finds none, since an uncut walk shortens to an uncut simple path.
+def _uncut_walk(cfg, a, b, excluded, cut, served=False):
+    """Breadth-first search for a shortest walk from block a to block b
+    avoiding `excluded` on which no edge satisfies `cut`, or None; when
+    a == b it is a cycle through a. A walk that comes back to a is the
+    walk from there, so without `served` the witness is a simple path,
+    and every a->b walk is cut exactly when this finds none. With
+    `served`, a data dependency orders the walks of real edges: the
+    search runs over (block, crossed a pseudo edge) states, a walk that
+    has not crossed passes b and goes on, and only a crossing walk that
+    reaches b is a witness.
     """
     if excluded in (a, b):
         return None
-    parent = {a: None}
-    todo = deque([a])
+    start = (a, False)
+    parent = {start: None}
+    todo = deque([start])
     while todo:
         x = todo.popleft()
-        for y in succ[x]:
-            if y == excluded or cut((x, y)):
+        blk, crossed = x
+        pseudo = served and not cfg.real_succ[blk]  # an exit: its edge re-enters
+        for y in cfg.succ[blk]:
+            if y == excluded or cut((blk, y)):
                 continue
-            if y == b:
-                path = [y]
+            z = (y, crossed or pseudo)
+            if y == b and (z[1] or not served):
+                walk = [y]
                 while x is not None:
-                    path.append(x)
+                    walk.append(x[0])
                     x = parent[x]
-                return tuple(reversed(path))
-            if y not in parent:
-                parent[y] = x
-                todo.append(y)
+                return tuple(reversed(walk))
+            if y != a and z not in parent:
+                parent[z] = x
+                todo.append(z)
     return None
 
 
@@ -271,9 +253,9 @@ def _fmt_path(path):
     return "[" + ",".join(path) + "]"
 
 
-def check_plan(cfg, edges, boundaries, profile, plan, path_cap=graph.DEFAULT_MAX_PATHS):
+def check_plan(cfg, edges, boundaries, profile, plan):
     """Violation strings for every constraint the plan fails to enforce."""
-    ck = PlanChecker(cfg, profile, plan, path_cap)
+    ck = PlanChecker(cfg, profile, plan)
     # Where visibility and execution order are free, only pu can fail.
     free = profile.vis_exec_free
     out = []
@@ -285,11 +267,7 @@ def check_plan(cfg, edges, boundaries, profile, plan, path_cap=graph.DEFAULT_MAX
         sblk = cfg.action_block[edge.src]
         tblk = cfg.action_block[edge.dst]
         if edge.kind == "xo":
-            uncut = [
-                path
-                for path in ck.paths(sblk, tblk, excluded=edge.bind)
-                if not ck.xo_path_cut(edge.bind, s_action, t_action, path)
-            ]
+            uncut = [ck.uncut_xo(edge.bind, s_action, t_action)]
         elif edge.kind == "pu":
             uncut = [ck.uncut_path(sblk, tblk, edge.bind, PUSH)]
         elif not ck.vo_released(t_action):
@@ -429,7 +407,7 @@ def greedy(cfg, edges, boundaries, profile, costs):
         level = capability(edge.kind, s_action)
         sblk = cfg.action_block[edge.src]
         tblk = cfg.action_block[edge.dst]
-        if _uncut_path(cfg.succ, sblk, tblk, edge.bind, lambda e: cut(e, level)) is None:
+        if _uncut_walk(cfg, sblk, tblk, edge.bind, lambda e: cut(e, level)) is None:
             continue
         kind_id = cheapest(level)
         for s in cfg.pred[tblk]:

@@ -368,6 +368,33 @@ def random_dep_source(rng):
     return "\n".join(lines + ["}"]) + "\n"
 
 
+def reentry_source(rng):
+    """A loop whose read A feeds its own next address and an access B
+    later in the loop, B's address or stored value. The entry may also
+    reach the loop's middle through a block `y` that sets the loop value
+    afresh, so that a later call reaches B without passing A: no data
+    dependency orders one call's A before the next call's B. Drawn: that
+    bypass, whether the loop can skip B (to its latch or to a second
+    exit), B's kind, and an `xo A -> A` next to the `xo A -> B`."""
+    bypass = rng.random() < 0.8
+    skip = rng.choice([None, "x2", "out2"])
+    access = rng.choice(["%r = read *%v", "write *%v 1", "write @o %v"])
+    lines = ["func f {", "edge xo A -> B;"] + (["edge xo A -> A;"] if rng.random() < 0.3 else [])
+    lines += ["block e:", "%h = read @g"]
+    lines += ["%c = op pick()", "br %c ? head : y"] if bypass else ["jmp head"]
+    lines += ["block head:", "%p = phi [e: %h], [x2: %v]", "%q = read *%p label A", "jmp x"]
+    if bypass:
+        lines += ["block y:", "%p0 = op other()", "jmp x", "block x:",
+                  "%v = phi [head: %q], [y: %p0]"]
+    else:
+        lines += ["block x:", "%v = op same(%q)"]
+    lines += ["%d = op more(%v)", f"br %d ? t : {skip}"] if skip else ["jmp t"]
+    lines += ["block t:", f"{access} label B", "jmp x2", "block x2:", "%d2 = op again(%v)",
+              "br %d2 ? head : out", "block out:", "ret"]
+    lines += ["block out2:", "ret"] if skip == "out2" else []
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 def random_problem(rng, max_vars=14, max_weight=50, and_rows=False, cyclic=False):
     """Synthetic monotone minimization problem (always satisfiable: the
     all-true assignment meets every clause). Each output's weight is

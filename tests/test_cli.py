@@ -16,7 +16,7 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
-from rmcfence import cli, encode, graph, ir
+from rmcfence import cli, emit, encode, graph, ir
 from conftest import ARCHES, CORPUS_NAMES, corpus_path, span_source, walk_source
 
 
@@ -85,50 +85,52 @@ def test_missing_file_exit_code(capsys):
     assert err
 
 
-def test_path_explosion_exit_code(capsys):
-    code, _, err = run(
-        capsys, "compile", str(corpus_path("selfdep")), "--arch", "armv7", "--max-paths", "1"
-    )
-    assert code == 2
-    assert "max-paths" in err
+def test_path_explosion_exit_code(tmp_path, capsys):
+    # One xo across 13 diamonds, 2^13 simple paths: a walk cut needs none
+    # of them, so compile, check and oracle all succeed.
+    src, dest = tmp_path / "span13.rmcir", tmp_path / "plan.json"
+    src.write_text(span_source(13, "xo"))
+    code, _, err = run(capsys, "compile", str(src), "--arch", "armv7", "--out", str(dest))
+    assert code == 0, err
+    code, out, _ = run(capsys, "check", str(src), str(dest), "--arch", "armv7")
+    assert (code, out) == (0, "OK\n")
+    code, out, _ = run(capsys, "oracle", str(src), "--arch", "armv7")
+    assert code == 0 and "MISMATCH" not in out
 
 
 @pytest.mark.parametrize(
-    "kind,arch_name,max_paths",
+    "kind,arch_name",
     [
-        pytest.param("vo", "armv7", None, id="None"),
-        pytest.param("vo", "armv7", "1", id="1"),
-        pytest.param("xo", "x86", None, id="xo-x86"),
+        pytest.param("vo", "armv7", id="None"),
+        pytest.param("xo", "x86", id="xo-x86"),
     ],
 )
-def test_many_paths_without_dependencies_compile(tmp_path, capsys, kind, arch_name, max_paths):
-    # 2^13 paths, more than the default cap, but a vo is a reachability cut,
-    # and x86 orders execution for free, so its xo is no constraint at all
+def test_many_paths_without_dependencies_compile(tmp_path, capsys, kind, arch_name):
+    # 2^13 paths, but a vo is a reachability cut, and x86 orders execution
+    # for free, so its xo is no constraint at all
     src = tmp_path / "span13.rmcir"
     src.write_text(span_source(13, kind))
     dest = tmp_path / "plan.json"
-    extra = ["--max-paths", max_paths] if max_paths else []
-    code, _, err = run(capsys, "compile", str(src), "--arch", arch_name, "--out", str(dest), *extra)
+    code, _, err = run(capsys, "compile", str(src), "--arch", arch_name, "--out", str(dest))
     assert code == 0, err
-    code, out, _ = run(capsys, "check", str(src), str(dest), "--arch", arch_name, *extra)
+    code, out, _ = run(capsys, "check", str(src), str(dest), "--arch", arch_name)
     assert code == 0 and out.strip() == "OK"
-    code, out, _ = run(capsys, "oracle", str(src), "--arch", arch_name, *extra)
+    code, out, _ = run(capsys, "oracle", str(src), "--arch", arch_name)
     assert code == 0 and "MISMATCH" not in out
 
 
 def test_check_walks_a_branch_to_one_block_once(tmp_path, capsys):
-    # `br %c ? m : m` makes two edges but one path, so six such branches
-    # leave one path for the xo, within --max-paths 2 for compile and check
+    # `br %c ? m : m` makes two edges into one block; compile and check
+    # each take the pair as one step of the walk
     lines = ["func same {", "  edge xo r -> w;", "  block e:", "    %v = read @x label r"]
     for i in range(6):
         lines += [f"    %c{i} = op c{i}()", f"    br %c{i} ? m{i} : m{i}", f"  block m{i}:"]
     src = tmp_path / "same.rmcir"
     src.write_text("\n".join(lines + ["    write @y 1 label w", "    ret", "}"]) + "\n")
     dest = tmp_path / "plan.json"
-    flags = ("--arch", "armv7", "--max-paths", "2")
-    code, _, err = run(capsys, "compile", str(src), *flags, "--out", str(dest))
+    code, _, err = run(capsys, "compile", str(src), "--arch", "armv7", "--out", str(dest))
     assert code == 0, err
-    code, out, err = run(capsys, "check", str(src), str(dest), *flags)
+    code, out, err = run(capsys, "check", str(src), str(dest), "--arch", "armv7")
     assert (code, out.strip()) == (0, "OK"), err
 
 
@@ -162,6 +164,106 @@ def test_a_write_of_the_read_value_rides_its_data_dependency(tmp_path, capsys):
     const.write_text(_STORES_THE_READ.replace("@b %w", "@b 1"))
     code, out, _ = run(capsys, "check", str(const), str(dest), "--arch", "armv7")
     assert code == 4 and out.startswith("UNCUT xo a1->a2 via ")
+
+
+# A's read feeds B's address through `%v`, and the loop carries it back
+# to A's own address. Another call enters through `y`, which sets `%v`
+# afresh, and reaches B without passing A, so the run head.s1 x crit.x.x2
+# x2 out -> e y x t leaves one call's A and the next call's B with no
+# dependency between them.
+_REENTRY = """func f {
+  edge xo A -> B;
+  block e:
+    %h = read @g
+    %c = op pick()
+    br %c ? head : y
+  block head:
+    %p = phi [e: %h], [x2: %v]
+    %q = read *%p label A
+    jmp x
+  block y:
+    %p0 = op other()
+    jmp x
+  block x:
+    %v = phi [head: %q], [y: %p0]
+    %d = op more(%v)
+    br %d ? t : x2
+  block t:
+    %r = read *%v label B
+    jmp x2
+  block x2:
+    %d2 = op again(%v)
+    br %d2 ? head : out
+  block out:
+    ret
+}
+"""
+
+
+def _plan_doc(text, cost, barriers, data_uses):
+    """A plan document for the one function of `text`: a dmb on each of
+    `barriers` (edges), each of `data_uses` (source, target) unscoped."""
+    cfg = ir.normalize(ir.parse(text)[0])
+    plan = emit.PlacementPlan("f", "armv7", cost)
+    plan.barriers = [emit.BarrierPlacement("dmb", s, d, *emit.edge_anchor(cfg, s, d))
+                     for s, d in barriers]
+    plan.data_uses = [emit.DataUse("-", s, t) for s, t in data_uses]
+    return emit.plans_to_json([plan])
+
+
+def _compile_check_oracle(capsys, src, dest):
+    """The armv7 plan of `src`, after it passes check and oracle."""
+    code, _, err = run(capsys, "compile", str(src), "--arch", "armv7", "--out", str(dest))
+    assert code == 0, err
+    code, out, _ = run(capsys, "check", str(src), str(dest), "--arch", "armv7")
+    assert (code, out) == (0, "OK\n")
+    code, out, _ = run(capsys, "oracle", str(src), "--arch", "armv7")
+    assert code == 0 and "MISMATCH" not in out
+    (plan,) = json.loads(dest.read_text())
+    return plan
+
+
+def test_a_data_use_does_not_order_across_a_re_entry(tmp_path, capsys):
+    src, dest = tmp_path / "reentry.rmcir", tmp_path / "plan.json"
+    src.write_text(_REENTRY)
+    # The data uses and a dmb into `head` after a re-entry (cost 132)
+    # order every simple path, but not the run above.
+    dest.write_text(_plan_doc(_REENTRY, 132, [("e", "crit.e.head")], [("a1", "a1"), ("a1", "a2")]))
+    code, out, _ = run(capsys, "check", str(src), str(dest), "--arch", "armv7")
+    assert (code, out) == (cli.EXIT_INVALID, "UNCUT xo a1->a2 via [head.s1,x,t]\n")
+    plan = _compile_check_oracle(capsys, src, dest)
+    assert plan["cost"] == 262
+    assert [(b["src"], b["dst"]) for b in plan["barriers"]] == [("x2", "out")]
+    assert len(plan["data_uses"]) == 2
+
+
+def test_a_crossing_walk_may_pass_the_target_first(tmp_path, capsys):
+    # A second exit from x makes the crossing walks that avoid t cheap to
+    # cut alone, and five diamonds after `out` make every edge on the way
+    # from t to the other exit dear. The use orders the last A before a B
+    # of the same call, not a B of the next call after this one's B.
+    lines = _REENTRY.replace("? t : x2", "? t : out2").replace(
+        "  block t:", "  block out2:\n    ret\n  block t:").replace("    ret\n}", "    jmp d0")
+    for k in range(5):
+        lines += (f"\n  block d{k}:\n    %k{k} = op c{k}()\n    br %k{k} ? dt{k} : de{k}"
+                  f"\n  block dt{k}:\n    jmp d{k + 1}\n  block de{k}:\n    jmp d{k + 1}")
+    text = lines + "\n  block d5:\n    ret\n}\n"
+    src, dest = tmp_path / "dear_exit.rmcir", tmp_path / "plan.json"
+    src.write_text(text)
+    uses = [("a1", "a1"), ("a1", "a2")]
+    # plans that cut every simple path (2,147), and every crossing walk
+    # that does not pass t before it crosses (2,536)
+    for cost, barriers, data_uses, via in [
+        (2147, [("e", "crit.e.head")], uses, "head.s1,x,t"),
+        (2536, [("e", "crit.e.head"), ("x", "out2"), ("x2", "crit.x2.head")], uses[1:],
+         "head.s1,x,t,x2,out," + ",".join(f"d{k},dt{k}" for k in range(5)) + ",d5,e,y,x,t"),
+    ]:
+        dest.write_text(_plan_doc(text, cost, barriers, data_uses))
+        code, out, _ = run(capsys, "check", str(src), str(dest), "--arch", "armv7")
+        assert (code, out) == (cli.EXIT_INVALID, f"UNCUT xo a1->a2 via [{via}]\n")
+    plan = _compile_check_oracle(capsys, src, dest)
+    assert plan["cost"] == 4292
+    assert [(b["src"], b["dst"]) for b in plan["barriers"]] == [("x", "out2"), ("x2", "out")]
 
 
 def test_budget_exit_code(tmp_path, capsys):
@@ -315,16 +417,16 @@ def test_usage_errors_exit_input(capsys, argv, message):
 @pytest.mark.parametrize(
     "cmd,option,value,low",
     [
-        ("compile", "--max-paths", "-1", 1),
-        ("check", "--max-paths", "0", 1),
+        ("compile", "--loop-factor", "-1", 1),
+        ("check", "--loop-factor", "0", 1),
         ("compile", "--budget-ms", "-1", 0),
         ("explain", "--budget-ms", "-5", 0),
         ("oracle", "--max-vars", "-1", 0),
         ("compile", "--loop-factor", "0", 1),
         ("oracle", "--loop-factor", "-3", 1),
-        ("compile", "--max-paths", "many", 1),
+        ("compile", "--budget-ms", "many", 0),
         # ASCII decimal only, as IR literals: int() would read each of these
-        ("compile", "--max-paths", "\u0663", 1),
+        ("compile", "--loop-factor", "\u0663", 1),
         ("check", "--loop-factor", "1_0", 1),
         ("explain", "--budget-ms", "+5", 0),
         ("oracle", "--max-vars", " 5", 0),
@@ -342,7 +444,7 @@ def test_out_of_range_integer_options_are_usage_errors(capsys, cmd, option, valu
 
 def test_lowest_integer_options_are_accepted(capsys):
     code, out, _ = run(capsys, "oracle", str(corpus_path("mp")), "--arch", "armv7",
-                       "--max-vars", "0", "--max-paths", "1", "--loop-factor", "1")
+                       "--max-vars", "0", "--loop-factor", "1")
     assert code == 0 and out.count("exhaustive=skipped") == 2
 
 

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 from rmcfence import cli, encode, solver
-from conftest import CORPUS_NAMES, corpus_path, span_source, walk_source
+from conftest import CORPUS_NAMES, corpus_path, walk_source
 
 
 def quiet_main(argv):
@@ -107,9 +107,6 @@ REQUESTS = [
                                      "--arch", "armv7"]),
     ("plan-for-another-arch", 1, lambda t: ["check", MP, str(compiled_plan(t, "mp", "armv7")),
                                             "--arch", "power"]),
-    ("path-explosion", 2, lambda t: ["compile", _source(t, "span13.rmcir",
-                                                        span_source(13, "xo")),
-                                     "--arch", "armv8"]),
     ("compile-budget", 3, lambda t: ["compile", RINGBUF, "--arch", "armv8", "--budget-ms", "0"]),
     ("explain-budget", 3, lambda t: ["explain", RINGBUF, "--arch", "armv8", "--budget-ms", "0"]),
     ("check-violations", 4, lambda t: ["check", MP, _gutted_plan(t), "--arch", "armv7"]),

@@ -8,13 +8,14 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
-from rmcfence import arch, constraints, encode, graph, ir
+from rmcfence import arch, constraints, emit, encode, graph, ir, solver, verify
 from rmcfence.deps import DepAnalysis
-from rmcfence.emit import DataUse, PlacementPlan
+from rmcfence.emit import PlacementPlan
 from rmcfence.verify import PlanChecker
 from conftest import (
-    ARCHES, CORPUS_NAMES, load_corpus, naive_dominators, parse_valid, per_path_data,
-    random_dep_source, walk_source,
+    ARCHES, CORPUS_NAMES, analyze, load_corpus, naive_dominators, nested_diamonds_source,
+    parse_valid, per_path_data, random_cut_source, random_dep_source, reentry_source,
+    walk_source,
 )
 
 
@@ -76,36 +77,22 @@ def test_phi_with_all_arms_dependent():
     assert deps.can_data(None, src, dst)
 
 
-def _encoded_uses(cfg, deps, bind, src, dst, paths):
-    """Which of `paths` the encoder lets the triple's data dependency cut:
-    those whose xcut_path definition names the use_data output."""
-    profile = arch.builtin_profile("armv7")
-    costs, _ = arch.load_costs(profile)
-    enc = encode.Encoder(cfg, [], [], deps, profile, costs, encode.EncodeOptions(max_paths=256))
-    enc._xcut(bind, src.id, dst.id)
-    use = ("out", encode.OutputVar("use_data", (enc._bstr(bind), src.id, dst.id)))
-
-    def mentions(expr):
-        return expr == use or expr[0] in ("and", "or") and any(map(mentions, expr[1]))
-
-    name = f"xcut_path({enc._bstr(bind)},{src.id},{dst.id},"
-    return {p: mentions(enc.defs[f"{name}{enc._path_ids[p]})"]) for p in paths}
-
-
 def test_loop_carried_dependence_is_path_sensitive():
     # The phi's value depends on the previous iteration's load via the
     # latch arm. Regions are built over real edges, so the entry arm is
     # only admissible on the wrap-around path (through return and
     # re-entry), where the dependence genuinely breaks. The triple's one
     # fact holds, and the paths it serves, in the reference and in the
-    # encoder's per-path cuts, are those with no pseudo edge.
-    cfg, deps = _setup(
-        "func f { block e: jmp head "
+    # encoder's and checker's cuts, are those with no pseudo edge.
+    (func,) = parse_valid(
+        "func f { edge xo s -> t; block e: jmp head "
         "block head: %m = phi [e: 0], [latch: %x] "
         "%v = read *%m label t %w = read @q label s jmp latch "
         "block latch: %x = op f(%w) %c = read @c br %c ? head : out "
         "block out: ret }"
     )
+    a = analyze(func, "armv7")
+    cfg, deps = a.cfg, DepAnalysis(a.cfg)
     src = next(a for a in cfg.actions.values() if "s" in a.labels)
     dst = next(a for a in cfg.actions.values() if "t" in a.labels)
     paths = _path(cfg, src.id, dst.id)
@@ -113,13 +100,20 @@ def test_loop_carried_dependence_is_path_sensitive():
     direct = [p for p in paths if cfg.entry not in p]
     assert wrap and direct
     assert deps.can_data(None, src, dst)
-    encoded = _encoded_uses(cfg, deps, None, src, dst, paths)
     for p in direct:
         assert per_path_data(cfg, None, src, dst, p, deps.value_depends)
-        assert encoded[p]
     for p in wrap:
         assert not per_path_data(cfg, None, src, dst, p, deps.value_depends)
-        assert not encoded[p]
+    # With s ordered after itself by a dmb on the one edge of its cycle
+    # that no s->t path takes, the use orders the direct paths; the wrap
+    # path needs a barrier of its own.
+    assert (cfg.action_block[src.id], cfg.action_block[dst.id]) == ("head.s2", "head.s1")
+    use = encode.OutputVar("use_data", ("-", src.id, dst.id))
+    own, wrap_cut = (encode.OutputVar("barrier", ("dmb", *e))
+                     for e in (("head.s1", "head.s2"), ("out", "e")))
+    assert _checked(a, {use, own}) == [
+        f"UNCUT xo {src.id}->{dst.id} via [head.s2,latch,out,e,head,head.s1]"]
+    assert _checked(a, {use, own, wrap_cut}) == []
 
 
 def test_widget_lookup_feeds_both_field_reads():
@@ -300,9 +294,8 @@ def _per_path_cases(seed):
     """On one `random_dep_source` program, every (scope, source, target)
     and every simple path between their blocks: the per-path reference
     rule must equal "the triple's fact and no pseudo edge on the path",
-    as `DepAnalysis.can_data`, the encoder's per-path cut (whether it
-    names the use_data output) and `PlanChecker.xo_path_cut` (given the
-    use, and nothing else) decide it. Returns how often each (pseudo edge
+    with the fact as `DepAnalysis.can_data` and the checker's own region
+    and dependence walk decide it. Returns how often each (pseudo edge
     on the path, triple fact, reference) case was met."""
     (func,) = parse_valid(random_dep_source(random.Random(seed)))
     cfg = ir.normalize(func)
@@ -310,32 +303,23 @@ def _per_path_cases(seed):
     binds = [None, *sorted(set(cfg.bind_block.values()))]
     sources = [a for a in cfg.actions.values() if a.reads_value]
     targets = [a for a in cfg.actions.values() if a.kind in ("read", "write", "rmw")]
-    plan = PlacementPlan(func.name, "none", 0)
-    plan.data_uses = [DataUse(b or "-", s.id, t.id) for b in binds for s in sources
-                      for t in targets]
-    checker = PlanChecker(cfg, None, plan)
+    checker = PlanChecker(cfg, None, PlacementPlan(func.name, "none", 0))
     cases = collections.Counter()
     for bind in binds:
         for s in sources:
             for t in targets:
                 fact = deps.can_data(bind, s, t)
+                assert checker._data_dep(bind, s, t) == fact, (seed, bind, s.id, t.id)
                 sblk, tblk = cfg.action_block[s.id], cfg.action_block[t.id]
                 try:
                     paths = graph.simple_paths(cfg, sblk, tblk, excluded=bind, cap=256)
                 except graph.PathExplosion:
                     continue
-                try:
-                    encoded = _encoded_uses(cfg, deps, bind, s, t, paths)
-                except graph.PathExplosion:  # the source's own self-order paths
-                    encoded = None
                 for path in paths:
                     pseudo = cfg.entry in path[1:]
                     ref = per_path_data(cfg, bind, s, t, path, deps.value_depends)
                     assert ref == (fact and not pseudo), (seed, bind, s.id, t.id, path)
-                    assert encoded is None or encoded[path] == ref, (seed, bind, s.id, t.id, path)
-                    got = checker.xo_path_cut(bind, s, t, path, assume_self=True)
                     assert per_path_data(cfg, bind, s, t, path, checker.depends) == ref
-                    assert got == ref, (seed, bind, s.id, t.id, path)
                     cases[pseudo, fact, ref] += 1
     return cases
 
@@ -356,3 +340,83 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=200, deadline=None)
     def test_triple_fact_equals_the_per_path_rule(seed):
         _per_path_cases(seed)
+
+
+# The programs of the formula-checker property: data and control
+# dependencies through loops, nested diamonds, and pu, vo and xo over
+# random CFGs.
+_SOURCES = {
+    "dep": random_dep_source,
+    "diamonds": nested_diamonds_source,
+    "cut": lambda rng: random_cut_source(rng, kinds=("pu", "vo", "xo")),
+}
+
+
+def _checked(a, trues, *where):
+    """The checker's violations of the plan of the outputs `trues`, which
+    must satisfy the formula exactly when there are none."""
+    plan = emit.to_plan(a.problem, a.cfg, solver.Assignment(trues, 0))
+    found = verify.check_plan(a.cfg, a.closed, a.boundaries, a.profile, plan)
+    assert encode.satisfies(a.problem, trues) == (found == []), (*where, sorted(map(str, trues)))
+    return found
+
+
+def _formula_equals_checker(source, seed):
+    """On one program, on armv7, armv8 and power, with and without
+    synthesized control dependencies, and wherever the problem has at
+    most 11 outputs: every output subset satisfies the formula exactly
+    when the checker accepts its plan. Returns (subsets tried, subsets
+    with a data use that both accept)."""
+    (func,) = parse_valid(_SOURCES[source](random.Random(seed)))
+    tried = served = 0
+    for arch_name in ("armv7", "armv8", "power"):
+        for synth in (False, True):
+            a = analyze(func, arch_name, synth_deps=synth)
+            outputs = a.problem.outputs
+            if len(outputs) > 11:
+                continue
+            for mask in range(1 << len(outputs)):
+                trues = frozenset(v for i, v in enumerate(outputs) if mask >> i & 1)
+                ok = not _checked(a, trues, source, seed, arch_name, synth)
+                tried += 1
+                served += ok and any(v.kind == "use_data" for v in trues)
+    return tried, served
+
+
+def test_formula_equals_the_checker_on_random_programs():
+    for source in _SOURCES:
+        tried = served = 0
+        for seed in range(25):
+            t, s = _formula_equals_checker(source, seed)
+            tried, served = tried + t, served + s
+        # subsets (served by a data use) when this was written: dep 20,418
+        # (2,516), diamonds 25,024 (2,999), cut 9,562 (writes only: none)
+        assert tried > 5000 and (served > 1000 or source == "cut"), (source, tried, served)
+
+
+def test_formula_equals_the_checker_across_a_re_entry():
+    # The generators above never give a walk that a data use could order
+    # but a re-entry breaks. These programs do, with 11 to 46 outputs, so
+    # each takes 40 random output subsets instead of all of them.
+    crossing = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        (func,) = parse_valid(reentry_source(rng))
+        for arch_name in ("armv7", "armv8", "power"):
+            a = analyze(func, arch_name)
+            for _ in range(40):
+                q = rng.random()
+                trues = frozenset(v for v in a.problem.outputs if rng.random() < q)
+                found = _checked(a, trues, seed, arch_name)
+                walks = [v.split(" via [")[1].rstrip("]").split(",") for v in found]
+                crossing += any(a.cfg.entry in w for w in walks)
+    # 106 plans rejected by a walk through a re-entry when this was written
+    assert crossing > 50
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(st.sampled_from(sorted(_SOURCES)), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_formula_equals_the_checker_on_any_random_program(source, seed):
+        _formula_equals_checker(source, seed)

@@ -11,9 +11,10 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 from rmcfence import arch, encode, graph, solver
+from rmcfence.deps import DepAnalysis
 from conftest import (
-    ARCHES, CORPUS_NAMES, analyze, analyze_corpus, naive_eval, naive_gfp, parse_valid,
-    random_cut_source,
+    ARCHES, CORPUS_NAMES, analyze, analyze_corpus, naive_eval, naive_gfp, nested_diamonds_source,
+    parse_valid, random_cut_source, random_dep_source,
 )
 
 
@@ -271,14 +272,17 @@ def test_def_values_equal_naive_greatest_fixpoint():
 def _per_path_cut(a, edge, true_vars):
     """Reference: the constraint holds when every simple path carries a
     barrier of the right capability (or, for vo and xo, the target
-    releases). The sources are writes, so an xo path needs a barrier that
-    orders execution after any action."""
+    releases). An xo path from a write needs a barrier that orders
+    execution after any action, from a read one that orders it after a
+    read. Exact when `true_vars` holds no ctrl use, no acquire and no
+    data use of the edge's own triple."""
     if edge.kind != "pu":
         if a.profile.vis_exec_free:
             return True
         if "release" in a.profile.modes and encode.OutputVar("release", (edge.dst,)) in true_vars:
             return True
-    level = {"pu": arch.PUSH, "vo": arch.VIS, "xo": arch.EXEC}[edge.kind]
+    xo = arch.EXEC_FROM_READ if a.cfg.actions[edge.src].reads_value else arch.EXEC
+    level = {"pu": arch.PUSH, "vo": arch.VIS, "xo": xo}[edge.kind]
     kinds = [k.id for k in a.profile.kinds_cutting(level)]
     paths = graph.simple_paths(
         a.cfg, a.cfg.action_block[edge.src], a.cfg.action_block[edge.dst],
@@ -315,4 +319,35 @@ if HAVE_HYPOTHESIS:
                 label = f"{edge.kind} {edge.src}->{edge.dst}" + (
                     f" @{edge.bind}" if edge.bind else ""
                 )
+                assert (label not in failed) == _per_path_cut(a, edge, true_vars), label
+
+    @given(st.integers(0, 2**32), st.sampled_from(("armv7", "armv8", "power")),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_xo_without_a_data_fact_equals_per_path_cuts(seed, arch_name, loops):
+        """Programs whose xo edges start at reads, with data and control
+        dependencies: where the triple has no data fact, the assertion
+        under any set of barriers, releases and data uses (of other
+        triples, so they can only order a source after itself) is the
+        per-path reference. Every walk holds a simple path, so that is
+        exact."""
+        rng = random.Random(seed)
+        source = random_dep_source(rng) if loops else nested_diamonds_source(rng)
+        (func,) = parse_valid(source)
+        a = analyze(func, arch_name)
+        deps = DepAnalysis(a.cfg)
+        universe = [
+            encode.OutputVar("barrier", (k.id, u, v))
+            for u, v, _ in a.cfg.edges
+            for k in a.profile.barriers
+        ] + [encode.OutputVar("release", (t,)) for t, x in a.cfg.actions.items() if x.is_write]
+        universe += [v for v in a.problem.outputs if v.kind == "use_data"]
+        edges = [e for e in a.closed if e.kind == "xo" and not deps.can_data(
+            e.bind, a.cfg.actions[e.src], a.cfg.actions[e.dst])]
+        for _ in range(8):
+            p = rng.random()
+            true_vars = frozenset(v for v in universe if rng.random() < p)
+            failed = set(encode.failed_assertions(a.problem, true_vars))
+            for edge in edges:
+                label = f"xo {edge.src}->{edge.dst}" + (f" @{edge.bind}" if edge.bind else "")
                 assert (label not in failed) == _per_path_cut(a, edge, true_vars), label

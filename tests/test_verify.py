@@ -142,7 +142,7 @@ def test_uncut_witness_is_a_real_path():
     for arm in ("t3", "e3"):
         anchor, pos = emit.edge_anchor(a.cfg, arm, "j3")
         plan.barriers.append(emit.BarrierPlacement("dmb", arm, "j3", anchor, pos))
-    assert verify.check_plan(a.cfg, a.closed, a.boundaries, a.profile, plan, path_cap=1) == []
+    assert _check(a, plan) == []
 
     del plan.barriers[1]
     (violation,) = _check(a, plan)
